@@ -36,6 +36,9 @@
 //! Latency percentiles are client-observed *request* (batch)
 //! round-trip times; `batch` and `depth` in the JSON record say how
 //! much work one request carries and how many were kept in flight.
+//! Every record counts a correct "no route" answer (`noroute`) apart
+//! from a fault (`errors`): pairs are not pre-filtered for
+//! routability, so `"errors":0` means no query failed.
 //!
 //! * **`--udp`**: the datagram-plane counterpart. Starts an
 //!   in-process ring-world server with the UDP plane enabled (or
@@ -54,9 +57,9 @@
 
 use inano_atlas::AtlasDelta;
 use inano_bench::{Scenario, ScenarioConfig};
-use inano_core::{PathPredictor, PredictorConfig};
+use inano_core::PredictorConfig;
 use inano_model::rng::rng_for;
-use inano_model::Ipv4;
+use inano_model::{ErrorCode, Ipv4};
 use inano_net::cli::{arg, flag};
 use inano_net::demo::{ring_atlas, ring_ip, ring_predictor_config};
 use inano_net::{raise_nofile_limit, Frame, NetClient, NetServer, ServerConfig, UdpQuerier};
@@ -69,11 +72,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Draw `n` scenario pairs — sources uniform, destinations zipf(s=1.0)
-/// by prefix rank — validated routable against scratch predictors for
-/// *both* days, so percentiles measure real predictions and the run
-/// can assert zero faults across the swap (a pair the day-1 delta
-/// unroutes would otherwise fail legitimately mid-run).
-fn scenario_pairs(sc: &Scenario, day1: &inano_atlas::Atlas, n: usize) -> Vec<(Ipv4, Ipv4)> {
+/// by prefix rank. Pairs are not checked for routability: a pair the
+/// atlas cannot route (on either side of the swap) is answered "no
+/// route", which the run counts apart from faults.
+fn scenario_pairs(sc: &Scenario, n: usize) -> Vec<(Ipv4, Ipv4)> {
     let mut by_prefix: Vec<_> = sc
         .atlas
         .prefix_as
@@ -94,32 +96,15 @@ fn scenario_pairs(sc: &Scenario, day1: &inano_atlas::Atlas, n: usize) -> Vec<(Ip
         .collect();
     let total_weight = *cumulative.last().unwrap();
 
-    let scratch0 = PathPredictor::new(Arc::new(sc.atlas.clone()), PredictorConfig::full());
-    let scratch1 = PathPredictor::new(Arc::new(day1.clone()), PredictorConfig::full());
-    let mut routable_memo: std::collections::HashMap<(Ipv4, Ipv4), bool> =
-        std::collections::HashMap::new();
     let mut rng = rng_for(99, "net-throughput-load");
-    let mut rejected = 0usize;
-    let mut pairs: Vec<(Ipv4, Ipv4)> = Vec::with_capacity(n);
-    while pairs.len() < n && rejected < n * 20 {
-        let src = ips[rng.gen_range(0..ips.len())];
-        let pick = rng.gen_range(0.0..total_weight);
-        let dst = ips[cumulative.partition_point(|&c| c < pick).min(ips.len() - 1)];
-        let ok = *routable_memo.entry((src, dst)).or_insert_with(|| {
-            scratch0.query(src, dst).is_ok() && scratch1.query(src, dst).is_ok()
-        });
-        if ok {
-            pairs.push((src, dst));
-        } else {
-            rejected += 1;
-        }
-    }
-    assert!(
-        pairs.len() == n,
-        "atlas too sparse: only {} of {n} requested pairs routable",
-        pairs.len(),
-    );
-    pairs
+    (0..n)
+        .map(|_| {
+            let src = ips[rng.gen_range(0..ips.len())];
+            let pick = rng.gen_range(0.0..total_weight);
+            let dst = ips[cumulative.partition_point(|&c| c < pick).min(ips.len() - 1)];
+            (src, dst)
+        })
+        .collect()
 }
 
 /// Uniform pairs over an `inano-serve --ring N` world.
@@ -137,6 +122,8 @@ fn ring_pairs(ring: u32, n: usize) -> Vec<(Ipv4, Ipv4)> {
 
 struct ClientTally {
     served: u64,
+    /// Correct "no route" answers (typed `NoPath`), not faults.
+    noroute: u64,
     faults: u64,
     /// Whole requests refused by the server's per-connection
     /// in-flight cap (typed `Overloaded`) — possible whenever
@@ -160,6 +147,7 @@ fn drive(
     let chunks: Vec<&[(Ipv4, Ipv4)]> = pairs.chunks(batch).collect();
     let mut tally = ClientTally {
         served: 0,
+        noroute: 0,
         faults: 0,
         rejected: 0,
         request_us: Vec::with_capacity(chunks.len()),
@@ -189,6 +177,7 @@ fn drive(
                 for (k, r) in results.into_iter().enumerate() {
                     match r {
                         Ok(_) => tally.served += 1,
+                        Err(fault) if fault.code == ErrorCode::NoPath => tally.noroute += 1,
                         Err(fault) => {
                             if tally.faults < 3 {
                                 let (s, d) = chunks[chunk_idx][k];
@@ -412,11 +401,12 @@ fn run_conn_soak(
     let elapsed = t0.elapsed().as_secs_f64();
 
     let served: u64 = tallies.iter().map(|t| t.served).sum();
+    let noroute: u64 = tallies.iter().map(|t| t.noroute).sum();
     let faults: u64 = tallies.iter().map(|t| t.faults).sum();
     let rejected: u64 = tallies.iter().map(|t| t.rejected).sum();
     let mut request_us: Vec<u64> = tallies.iter().flat_map(|t| t.request_us.clone()).collect();
     request_us.sort_unstable();
-    let qps = (served + faults) as f64 / elapsed;
+    let qps = (served + noroute + faults) as f64 / elapsed;
     let p50 = quantile(&request_us, 0.50);
     let p99 = quantile(&request_us, 0.99);
 
@@ -461,11 +451,12 @@ fn run_conn_soak(
     // The contract line: exactly one JSON record on stdout.
     println!(
         "{{\"bench\":\"conn_soak\",\"connections\":{n_conns},\"qps\":{qps:.1},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"queries\":{},\"errors\":{faults},\
+         \"p50_us\":{p50},\"p99_us\":{p99},\"queries\":{},\"noroute\":{noroute},\
+         \"errors\":{faults},\
          \"clients\":{clients},\"batch\":{batch},\"depth\":{depth},\
          \"open_secs\":{open_secs:.1},\"connect_retries\":{connect_retries},\
          \"accept_retries\":{accept_retries},\"rejected\":{rejected}}}",
-        served + faults,
+        served + noroute + faults,
     );
     std::process::exit(0);
 }
@@ -514,6 +505,7 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
 
     struct UdpTally {
         served: u64,
+        noroute: u64,
         errors: u64,
         resends: u64,
         stale_replies: u64,
@@ -528,6 +520,7 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
                     let mut q = UdpQuerier::connect(addr).expect("bind udp querier");
                     let mut tally = UdpTally {
                         served: 0,
+                        noroute: 0,
                         errors: 0,
                         resends: 0,
                         stale_replies: 0,
@@ -541,6 +534,9 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
                                 for r in results {
                                     match r {
                                         Ok(_) => tally.served += 1,
+                                        Err(fault) if fault.code == ErrorCode::NoPath => {
+                                            tally.noroute += 1
+                                        }
                                         Err(fault) => {
                                             if tally.errors < 3 {
                                                 eprintln!("per-pair fault: {fault}");
@@ -569,12 +565,13 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
     let elapsed = t0.elapsed().as_secs_f64();
 
     let served: u64 = tallies.iter().map(|t| t.served).sum();
+    let noroute: u64 = tallies.iter().map(|t| t.noroute).sum();
     let errors: u64 = tallies.iter().map(|t| t.errors).sum();
     let resends: u64 = tallies.iter().map(|t| t.resends).sum();
     let stale: u64 = tallies.iter().map(|t| t.stale_replies).sum();
     let mut request_us: Vec<u64> = tallies.iter().flat_map(|t| t.request_us.clone()).collect();
     request_us.sort_unstable();
-    let qps = (served + errors) as f64 / elapsed;
+    let qps = (served + noroute + errors) as f64 / elapsed;
     let p50 = quantile(&request_us, 0.50);
     let p99 = quantile(&request_us, 0.99);
 
@@ -600,16 +597,17 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
     }
 
     eprintln!(
-        "served {served} queries ({errors} errors) in {elapsed:.2}s over {clients} \
-         datagram clients: {qps:.0} qps, request p50 {p50}us / p99 {p99}us \
+        "served {served} queries ({noroute} no route, {errors} errors) in {elapsed:.2}s \
+         over {clients} datagram clients: {qps:.0} qps, request p50 {p50}us / p99 {p99}us \
          (batch {batch}, {resends} resends, {stale} stale replies discarded)",
     );
     println!(
         "{{\"bench\":\"net_throughput\",\"transport\":\"udp\",\"qps\":{qps:.1},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"queries\":{},\"errors\":{errors},\
+         \"p50_us\":{p50},\"p99_us\":{p99},\"queries\":{},\"noroute\":{noroute},\
+         \"errors\":{errors},\
          \"clients\":{clients},\"batch\":{batch},\"ring\":{ring},\
          \"resends\":{resends},\"stale_replies\":{stale}}}",
-        served + errors,
+        served + noroute + errors,
     );
     std::process::exit(0);
 }
@@ -665,12 +663,8 @@ fn main() {
         });
         eprintln!("scenario: {}", sc.summary());
         let (_, atlas1) = sc.atlas_for_day(1);
-        let d = AtlasDelta::between(&sc.atlas, &atlas1);
-        // Validate against the atlas the delta *produces* (deltas
-        // quantise), which is what the engine serves post-swap.
-        let atlas1_applied = d.apply(&sc.atlas).expect("delta applies to day 0");
-        delta = Some(d);
-        let pairs = scenario_pairs(&sc, &atlas1_applied, n_queries);
+        delta = Some(AtlasDelta::between(&sc.atlas, &atlas1));
+        let pairs = scenario_pairs(&sc, n_queries);
 
         // Every shard serves the scenario's day-0 atlas, sized by the
         // registry's own budget split — so a `--shards N` run measures
@@ -773,11 +767,12 @@ fn main() {
     }
 
     let served: u64 = tallies.iter().map(|t| t.served).sum();
+    let noroute: u64 = tallies.iter().map(|t| t.noroute).sum();
     let faults: u64 = tallies.iter().map(|t| t.faults).sum();
     let rejected: u64 = tallies.iter().map(|t| t.rejected).sum();
     let mut request_us: Vec<u64> = tallies.iter().flat_map(|t| t.request_us.clone()).collect();
     request_us.sort_unstable();
-    let qps = (served + faults) as f64 / elapsed;
+    let qps = (served + noroute + faults) as f64 / elapsed;
     let p50 = quantile(&request_us, 0.50);
     let p99 = quantile(&request_us, 0.99);
 
@@ -821,7 +816,7 @@ fn main() {
         let dump = probe.metrics().expect("metrics dump over the wire");
         assert_eq!(
             dump.counter_sum(".queries"),
-            served + faults,
+            served + noroute + faults,
             "the metrics dump accounts for every query issued"
         );
         let (reply, t) = probe.call_traced(&Frame::Ping).expect("traced ping");
@@ -850,8 +845,8 @@ fn main() {
     }
 
     eprintln!(
-        "served {served} queries ({faults} faults, {rejected} requests rejected by the \
-         in-flight cap) in {elapsed:.2}s over {clients} \
+        "served {served} queries ({noroute} no route, {faults} faults, {rejected} requests \
+         rejected by the in-flight cap) in {elapsed:.2}s over {clients} \
          connections: {qps:.0} qps, request p50 {p50}us / p99 {p99}us \
          (batch {batch}, depth {depth})",
     );
@@ -860,9 +855,10 @@ fn main() {
     println!(
         "{{\"bench\":\"net_throughput\",\"transport\":\"tcp\",\"qps\":{qps:.1},\
          \"p50_us\":{p50},\"p99_us\":{p99},\
-         \"queries\":{},\"errors\":{faults},\"clients\":{clients},\"batch\":{batch},\
+         \"queries\":{},\"noroute\":{noroute},\"errors\":{faults},\
+         \"clients\":{clients},\"batch\":{batch},\
          \"depth\":{depth},\"shards\":{shards},\"rejected\":{rejected},\
          \"swaps\":{swaps},\"epoch\":{epoch}}}",
-        served + faults,
+        served + noroute + faults,
     );
 }

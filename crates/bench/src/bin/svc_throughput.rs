@@ -15,7 +15,7 @@ use inano_atlas::AtlasDelta;
 use inano_bench::{Scenario, ScenarioConfig};
 use inano_core::PredictorConfig;
 use inano_model::rng::rng_for;
-use inano_model::Ipv4;
+use inano_model::{Ipv4, ModelError};
 use inano_net::cli::arg;
 use inano_service::{QueryEngine, ServiceConfig};
 use rand::Rng;
@@ -63,8 +63,9 @@ fn main() {
     // answer (validated against a scratch predictor so the benchmarked
     // engine's cache stays cold): the emitted latency percentiles then
     // measure real predictions, not fast NoPath failures. After the
-    // mid-run swap a few pairs may legitimately start failing if the
-    // day-1 delta removed their links; those stay counted in `errors`.
+    // mid-run swap a few pairs may legitimately lose their route if the
+    // day-1 delta removed their links; those correct "no route" answers
+    // are counted in `noroute`, apart from faults (`errors`).
     let scratch =
         inano_core::PathPredictor::new(Arc::new(sc.atlas.clone()), PredictorConfig::full());
     let mut routable_memo: std::collections::HashMap<(Ipv4, Ipv4), bool> =
@@ -125,6 +126,7 @@ fn main() {
 
     let t0 = Instant::now();
     let mut ok = 0u64;
+    let mut noroute = 0u64;
     let mut err = 0u64;
     for chunk in pairs.chunks(batch) {
         if swap_thread.is_none() && issued >= swap_trigger {
@@ -133,6 +135,7 @@ fn main() {
         for r in engine.query_batch(chunk) {
             match r {
                 Ok(_) => ok += 1,
+                Err(ModelError::NoPath(_)) => noroute += 1,
                 Err(_) => err += 1,
             }
         }
@@ -147,13 +150,14 @@ fn main() {
     let elapsed = t0.elapsed().as_secs_f64();
 
     let stats = engine.stats();
-    let qps = (ok + err) as f64 / elapsed;
+    let qps = (ok + noroute + err) as f64 / elapsed;
     eprintln!(
-        "served {} queries ({} ok, {} err) in {:.2}s on {} workers: \
+        "served {} queries ({} ok, {} no route, {} err) in {:.2}s on {} workers: \
          {:.0} qps, p50 {}us, p99 {}us, cache hit rate {:.3} \
          ({} hits / {} misses / {} evictions), {} swap(s), day {}",
         stats.queries,
         ok,
+        noroute,
         err,
         elapsed,
         stats.workers,
@@ -173,12 +177,14 @@ fn main() {
     // The contract line: exactly one JSON record on stdout.
     println!(
         "{{\"bench\":\"svc_throughput\",\"qps\":{:.1},\"p50_us\":{},\"p99_us\":{},\
-         \"cache_hit\":{:.4},\"queries\":{},\"errors\":{},\"workers\":{},\"swaps\":{}}}",
+         \"cache_hit\":{:.4},\"queries\":{},\"noroute\":{},\"errors\":{},\"workers\":{},\
+         \"swaps\":{}}}",
         qps,
         stats.p50_us,
         stats.p99_us,
         stats.cache_hit_rate,
         stats.queries,
+        noroute,
         err,
         stats.workers,
         stats.swaps,

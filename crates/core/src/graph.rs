@@ -8,28 +8,37 @@
 //! "up", side 1 is "down".
 //!
 //! Edges are stored as *incoming-forward* adjacency: for a forward edge
-//! `u → v`, `in_edges[v]` holds `u`, because the search backtracks from
-//! the destination (settling `v` relaxes `u`).
+//! `u → v`, `in_edges(v)` holds `u`, because the search backtracks from
+//! the destination (settling `v` relaxes `u`). The adjacency is one flat
+//! CSR array: `in_edges(v)` is `edges[offsets[v]..offsets[v + 1]]`, in
+//! the order the edges were generated. Each node also carries its
+//! owner's dense AS id from the predictor's shared `AsTables`.
 
 use crate::config::PredictorConfig;
-use inano_atlas::Atlas;
+use crate::tables::{AsTables, IdMap};
+use inano_atlas::{Atlas, Plane};
 use inano_model::{Asn, ClusterId, Relationship};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One reverse-stored edge.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct InEdge {
-    /// The forward-source node (relaxed when the edge's target settles).
-    pub src: u32,
     /// Link latency in ms (the configured default when unannotated).
     pub latency: f64,
-    /// Crosses an AS boundary.
-    pub inter: bool,
+    /// The forward-source node (relaxed when the edge's target settles).
+    pub src: u32,
     /// Minimum search phase that may traverse this edge (GRAPH mode).
     pub phase: u8,
+    /// Crosses an AS boundary.
+    pub inter: bool,
     /// The link was only observed in the opposite direction; traversing
     /// it this way is a fallback and is deprioritised by the search.
     pub reversed: bool,
+    /// The target's AS is exempt from the 3-tuple check on this edge:
+    /// its degree is at most the configured threshold and the edge is
+    /// not reversed (§4.3.2; see the search for why reversed edges are
+    /// never exempt).
+    pub tuple_exempt: bool,
 }
 
 /// The prediction graph.
@@ -37,14 +46,23 @@ pub struct PredictionGraph {
     pub n_planes: usize,
     pub n_sides: usize,
     /// Dense index per cluster.
-    pub cluster_idx: HashMap<ClusterId, u32>,
+    pub cluster_idx: IdMap<ClusterId, u32>,
     /// ClusterId per dense index.
     pub clusters: Vec<ClusterId>,
     /// Owning AS per dense cluster index.
     pub cluster_as: Vec<Asn>,
-    /// Incoming-forward adjacency per node.
-    pub in_edges: Vec<Vec<InEdge>>,
+    /// Dense AS id (from `tables`) per node.
+    node_as: Vec<u32>,
+    /// CSR row starts: node `v`'s in-edges are
+    /// `edges[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    edges: Vec<InEdge>,
+    tables: Arc<AsTables>,
 }
+
+/// Edges in generation order, tagged with their target node; turned
+/// into CSR by a stable counting sort once the build is done.
+type Pending = Vec<(u32, InEdge)>;
 
 impl PredictionGraph {
     pub fn n_nodes(&self) -> usize {
@@ -62,8 +80,26 @@ impl PredictionGraph {
     }
 
     /// The AS of a node.
-    pub fn node_as(&self, node: u32) -> Asn {
+    pub fn node_asn(&self, node: u32) -> Asn {
         self.cluster_as[node as usize / (self.n_planes * self.n_sides)]
+    }
+
+    /// The dense AS id of a node (see `AsTables::dense`).
+    #[inline]
+    pub fn node_as(&self, node: u32) -> u32 {
+        self.node_as[node as usize]
+    }
+
+    /// Incoming-forward edges of a node, in generation order.
+    #[inline]
+    pub fn in_edges(&self, node: u32) -> &[InEdge] {
+        let v = node as usize;
+        &self.edges[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+
+    /// The AS tables this graph's dense AS ids index into.
+    pub(crate) fn tables(&self) -> &AsTables {
+        &self.tables
     }
 
     /// Destination entry node for a cluster: `TO_DST` plane, down side.
@@ -86,57 +122,110 @@ impl PredictionGraph {
         v
     }
 
-    /// Build the graph for a config.
+    /// Build the graph for a config, with AS tables of its own.
     pub fn build(atlas: &Atlas, cfg: &PredictorConfig) -> PredictionGraph {
+        PredictionGraph::build_with(atlas, cfg, Arc::new(AsTables::new(atlas, cfg)))
+    }
+
+    /// Build the graph for a config over shared AS tables, which must
+    /// have been built from the same atlas.
+    pub(crate) fn build_with(
+        atlas: &Atlas,
+        cfg: &PredictorConfig,
+        tables: Arc<AsTables>,
+    ) -> PredictionGraph {
         // Dense-index every cluster that appears in the link set.
-        let mut cluster_idx: HashMap<ClusterId, u32> = HashMap::new();
+        let mut cluster_idx: IdMap<ClusterId, u32> = IdMap::default();
+        cluster_idx.reserve(atlas.prefix_cluster.len());
         let mut clusters: Vec<ClusterId> = Vec::new();
         let mut cluster_as: Vec<Asn> = Vec::new();
-        let intern = |c: ClusterId,
-                      clusters: &mut Vec<ClusterId>,
-                      cluster_as: &mut Vec<Asn>,
-                      cluster_idx: &mut HashMap<ClusterId, u32>,
-                      atlas: &Atlas| {
+        let mut intern = |c: ClusterId| {
             *cluster_idx.entry(c).or_insert_with(|| {
                 clusters.push(c);
                 cluster_as.push(atlas.as_of_cluster(c).unwrap_or_default());
                 (clusters.len() - 1) as u32
             })
         };
-        for &(a, b) in atlas.links.keys() {
-            intern(a, &mut clusters, &mut cluster_as, &mut cluster_idx, atlas);
-            intern(b, &mut clusters, &mut cluster_as, &mut cluster_idx, atlas);
-        }
+        // Dense ends of every link, in atlas order.
+        let links: Vec<(u32, u32)> = atlas
+            .links
+            .keys()
+            .map(|&(a, b)| (intern(a), intern(b)))
+            .collect();
         // Clusters referenced only by prefix attachments still need nodes.
         for &c in atlas.prefix_cluster.values() {
-            intern(c, &mut clusters, &mut cluster_as, &mut cluster_idx, atlas);
+            intern(c);
         }
 
+        let per_cluster = cfg.n_planes() * cfg.n_sides();
+        let mut node_as = Vec::with_capacity(clusters.len() * per_cluster);
+        for &asn in &cluster_as {
+            let dense = tables
+                .dense(asn)
+                .expect("the AS tables index every cluster's AS");
+            node_as.extend(std::iter::repeat_n(dense, per_cluster));
+        }
         let mut g = PredictionGraph {
             n_planes: cfg.n_planes(),
             n_sides: cfg.n_sides(),
             cluster_idx,
             clusters,
             cluster_as,
-            in_edges: Vec::new(),
+            node_as,
+            offsets: Vec::new(),
+            edges: Vec::new(),
+            tables,
         };
-        g.in_edges = vec![Vec::new(); g.n_nodes()];
 
+        let mut pending: Pending = Vec::with_capacity(4 * links.len() + g.n_nodes());
         if cfg.use_rel_graph {
-            g.build_rel_edges(atlas, cfg);
+            g.build_rel_edges(atlas, cfg, &links, &mut pending);
         } else {
-            g.build_directed_edges(atlas, cfg);
+            g.build_directed_edges(atlas, cfg, &links, &mut pending);
         }
-        g.build_plane_cross_edges();
+        g.build_plane_cross_edges(&mut pending);
+        g.finish(cfg, pending);
         g
     }
 
-    fn add_forward_edge(&mut self, u: u32, v: u32, latency: f64, inter: bool, phase: u8) {
-        self.add_edge_full(u, v, latency, inter, phase, false);
+    /// Lay the pending edges out as CSR rows (a stable counting sort by
+    /// target, so each row keeps generation order) and flag the tuple
+    /// exemption per edge.
+    fn finish(&mut self, cfg: &PredictorConfig, pending: Pending) {
+        let n = self.n_nodes();
+        let mut offsets = vec![0u32; n + 1];
+        for &(v, _) in &pending {
+            offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut fill = offsets.clone();
+        let mut edges = vec![InEdge::default(); pending.len()];
+        for (v, mut e) in pending {
+            e.tuple_exempt =
+                !e.reversed && self.tables.degree(self.node_as[v as usize]) <= cfg.tuple_min_degree;
+            let slot = &mut fill[v as usize];
+            edges[*slot as usize] = e;
+            *slot += 1;
+        }
+        self.offsets = offsets;
+        self.edges = edges;
+    }
+
+    fn add_forward_edge(
+        pending: &mut Pending,
+        u: u32,
+        v: u32,
+        latency: f64,
+        inter: bool,
+        phase: u8,
+    ) {
+        PredictionGraph::add_edge_full(pending, u, v, latency, inter, phase, false);
     }
 
     fn add_edge_full(
-        &mut self,
+        pending: &mut Pending,
         u: u32,
         v: u32,
         latency: f64,
@@ -144,13 +233,17 @@ impl PredictionGraph {
         phase: u8,
         reversed: bool,
     ) {
-        self.in_edges[v as usize].push(InEdge {
-            src: u,
-            latency,
-            inter,
-            phase,
-            reversed,
-        });
+        pending.push((
+            v,
+            InEdge {
+                latency,
+                src: u,
+                phase,
+                inter,
+                reversed,
+                tuple_exempt: false,
+            },
+        ));
     }
 
     /// iNano mode: observed links, per plane.
@@ -162,43 +255,47 @@ impl PredictionGraph {
     /// predicted — §4.3.1 composes forward *and* reverse paths for every
     /// pair). The 3-tuple, preference and provider checks carry the
     /// export-policy directionality that raw direction encoded.
-    fn build_directed_edges(&mut self, atlas: &Atlas, cfg: &PredictorConfig) {
-        // First pass: the directions actually observed, per plane.
-        let mut observed: std::collections::HashSet<(u32, u32, u8)> =
-            std::collections::HashSet::new();
-        for (&(from, to), ann) in &atlas.links {
-            let (cf, ct) = (self.cluster_idx[&from], self.cluster_idx[&to]);
-            for (plane, present) in [(0u8, ann.plane.to_dst), (1, ann.plane.from_src)] {
-                if present && (plane as usize) < self.n_planes {
-                    observed.insert((cf, ct, plane));
-                }
-            }
+    fn build_directed_edges(
+        &self,
+        atlas: &Atlas,
+        cfg: &PredictorConfig,
+        links: &[(u32, u32)],
+        pending: &mut Pending,
+    ) {
+        let key = |a: u32, b: u32| (u64::from(a) << 32) | u64::from(b);
+        // The planes each direction was observed in.
+        let mut observed: IdMap<u64, Plane> = IdMap::default();
+        observed.reserve(links.len());
+        for (&(cf, ct), ann) in links.iter().zip(atlas.links.values()) {
+            observed.insert(key(cf, ct), ann.plane);
         }
-        // Second pass: add both directions, marking the unobserved one.
-        let mut added: std::collections::HashSet<(u32, u32, u8)> = std::collections::HashSet::new();
-        for (&(from, to), ann) in &atlas.links {
-            let (cf, ct) = (self.cluster_idx[&from], self.cluster_idx[&to]);
+        // Add both directions of each link, marking the unobserved one.
+        // A link and its twin (the opposite direction, observed in the
+        // same plane) yield the same two edges: the one first in atlas
+        // order adds them.
+        for (&(cf, ct), (&(from, to), ann)) in links.iter().zip(&atlas.links) {
             let inter = self.cluster_as[cf as usize] != self.cluster_as[ct as usize];
             let lat = ann
                 .latency
                 .map(|l| l.ms())
                 .unwrap_or(cfg.default_link_latency_ms);
-            for (plane, present) in [(0u8, ann.plane.to_dst), (1, ann.plane.from_src)] {
-                if !present || (plane as usize) >= self.n_planes {
+            let twin = observed.get(&key(ct, cf)).copied().unwrap_or_default();
+            let twin_first = (to, from) < (from, to);
+            for (plane, present, twin_seen) in [
+                (0usize, ann.plane.to_dst, twin.to_dst),
+                (1, ann.plane.from_src, twin.from_src),
+            ] {
+                if !present || plane >= self.n_planes || (twin_seen && twin_first) {
                     continue;
                 }
-                for (a, b) in [(cf, ct), (ct, cf)] {
-                    let reversed = !observed.contains(&(a, b, plane));
-                    if reversed && !cfg.allow_reversed_links {
-                        continue;
-                    }
-                    if added.insert((a, b, plane)) {
-                        let (u, v) = (
-                            self.node(a, plane as usize, 0),
-                            self.node(b, plane as usize, 0),
-                        );
-                        self.add_edge_full(u, v, lat, inter, 1, reversed);
-                    }
+                let (u, v) = (self.node(cf, plane, 0), self.node(ct, plane, 0));
+                PredictionGraph::add_edge_full(pending, u, v, lat, inter, 1, false);
+                // The reverse direction, unless it is this same edge (a
+                // self-loop) or an unobserved direction the config
+                // leaves out.
+                let reversed = !twin_seen;
+                if cf != ct && (!reversed || cfg.allow_reversed_links) {
+                    PredictionGraph::add_edge_full(pending, v, u, lat, inter, 1, reversed);
                 }
             }
         }
@@ -213,7 +310,13 @@ impl PredictionGraph {
     /// in: each plane only gets edges whose *forward traffic direction*
     /// was actually observed in that plane, which is what kills the
     /// "non-existent routes" GRAPH otherwise invents.
-    fn build_rel_edges(&mut self, atlas: &Atlas, cfg: &PredictorConfig) {
+    fn build_rel_edges(
+        &self,
+        atlas: &Atlas,
+        cfg: &PredictorConfig,
+        links: &[(u32, u32)],
+        pending: &mut Pending,
+    ) {
         // Per unordered cluster pair: latency plus which directions were
         // observed in which plane. Index 0 = (lo → hi), 1 = (hi → lo).
         #[derive(Clone, Copy, Default)]
@@ -222,23 +325,24 @@ impl PredictionGraph {
             to_dst: [bool; 2],
             from_src: [bool; 2],
         }
-        let mut pairs: HashMap<(u32, u32), PairInfo> = HashMap::new();
-        for (&(from, to), ann) in &atlas.links {
-            let (cf, ct) = (self.cluster_idx[&from], self.cluster_idx[&to]);
+        let mut by_pair: IdMap<(u32, u32), PairInfo> = IdMap::default();
+        for (&(cf, ct), ann) in links.iter().zip(atlas.links.values()) {
             let key = (cf.min(ct), cf.max(ct));
             let dir = usize::from(cf > ct);
-            let e = pairs.entry(key).or_default();
+            let e = by_pair.entry(key).or_default();
             if let Some(l) = ann.latency {
                 e.lat = Some(e.lat.map_or(l.ms(), |x: f64| x.min(l.ms())));
             }
             e.to_dst[dir] |= ann.plane.to_dst;
             e.from_src[dir] |= ann.plane.from_src;
         }
+        // A fixed generation order, whatever the map's iteration order.
+        let mut pairs: Vec<((u32, u32), PairInfo)> = by_pair.into_iter().collect();
+        pairs.sort_unstable_by_key(|&(key, _)| key);
 
         // Directionality only applies once the asymmetry refinement is on.
         let directional = self.n_planes == 2;
-        let planes: Vec<usize> = (0..self.n_planes).collect();
-        for (&(ci, cj), info) in &pairs {
+        for &((ci, cj), info) in &pairs {
             let (ai, aj) = (self.cluster_as[ci as usize], self.cluster_as[cj as usize]);
             let lat = info.lat.unwrap_or(cfg.default_link_latency_ms);
             let rel = if ai == aj {
@@ -252,7 +356,7 @@ impl PredictionGraph {
                         .unwrap_or(Relationship::Peer),
                 )
             };
-            for &p in &planes {
+            for p in 0..self.n_planes {
                 // Was the (ci → cj) / (cj → ci) direction observed in
                 // this plane? Without directionality, any observation of
                 // the pair enables both.
@@ -266,8 +370,11 @@ impl PredictionGraph {
                 if !fwd_ij && !fwd_ji {
                     continue;
                 }
-                let up = |g: &PredictionGraph, c| g.node(c, p, 0);
-                let down = |g: &PredictionGraph, c| g.node(c, p, 1);
+                let up = |c| self.node(c, p, 0);
+                let down = |c| self.node(c, p, 1);
+                let mut add = |u, v, inter, phase| {
+                    PredictionGraph::add_forward_edge(pending, u, v, lat, inter, phase)
+                };
                 match rel {
                     None | Some(Relationship::Sibling) => {
                         let inter = ai != aj;
@@ -275,10 +382,8 @@ impl PredictionGraph {
                             if !seen {
                                 continue;
                             }
-                            let (ux, uy) = (up(self, x), up(self, y));
-                            self.add_forward_edge(ux, uy, lat, inter, 1);
-                            let (dx, dy) = (down(self, x), down(self, y));
-                            self.add_forward_edge(dx, dy, lat, inter, 1);
+                            add(up(x), up(y), inter, 1);
+                            add(down(x), down(y), inter, 1);
                         }
                     }
                     Some(Relationship::Provider) => {
@@ -286,26 +391,26 @@ impl PredictionGraph {
                         // traffic (phase 3), down_j→down_i carries j→i
                         // (phase 1).
                         if fwd_ij {
-                            self.add_forward_edge(up(self, ci), up(self, cj), lat, true, 3);
+                            add(up(ci), up(cj), true, 3);
                         }
                         if fwd_ji {
-                            self.add_forward_edge(down(self, cj), down(self, ci), lat, true, 1);
+                            add(down(cj), down(ci), true, 1);
                         }
                     }
                     Some(Relationship::Customer) => {
                         if fwd_ji {
-                            self.add_forward_edge(up(self, cj), up(self, ci), lat, true, 3);
+                            add(up(cj), up(ci), true, 3);
                         }
                         if fwd_ij {
-                            self.add_forward_edge(down(self, ci), down(self, cj), lat, true, 1);
+                            add(down(ci), down(cj), true, 1);
                         }
                     }
                     Some(Relationship::Peer) => {
                         if fwd_ij {
-                            self.add_forward_edge(up(self, ci), down(self, cj), lat, true, 2);
+                            add(up(ci), down(cj), true, 2);
                         }
                         if fwd_ji {
-                            self.add_forward_edge(up(self, cj), down(self, ci), lat, true, 2);
+                            add(up(cj), down(ci), true, 2);
                         }
                     }
                 }
@@ -316,30 +421,33 @@ impl PredictionGraph {
         // phase 1 so pure customer routes settle first.
         for c in 0..self.clusters.len() as u32 {
             for p in 0..self.n_planes {
-                let u = self.node(c, p, 0);
-                let d = self.node(c, p, 1);
-                self.add_forward_edge(u, d, 0.0, false, 1);
+                let (u, d) = (self.node(c, p, 0), self.node(c, p, 1));
+                PredictionGraph::add_forward_edge(pending, u, d, 0.0, false, 1);
             }
         }
     }
 
     /// One-way plane crossing: (c, FROM_SRC, s) → (c, TO_DST, s).
-    fn build_plane_cross_edges(&mut self) {
+    fn build_plane_cross_edges(&self, pending: &mut Pending) {
         if self.n_planes < 2 {
             return;
         }
         for c in 0..self.clusters.len() as u32 {
             for s in 0..self.n_sides {
-                let u = self.node(c, 1, s);
-                let v = self.node(c, 0, s);
-                self.add_forward_edge(u, v, 0.0, false, 1);
+                let (u, v) = (self.node(c, 1, s), self.node(c, 0, s));
+                PredictionGraph::add_forward_edge(pending, u, v, 0.0, false, 1);
             }
         }
     }
 
     /// Total edge count (diagnostics).
     pub fn n_edges(&self) -> usize {
-        self.in_edges.iter().map(|v| v.len()).sum()
+        self.edges.len()
+    }
+
+    /// All edges, row by row (diagnostics and tests).
+    pub fn edges(&self) -> &[InEdge] {
+        &self.edges
     }
 }
 
@@ -381,7 +489,7 @@ mod tests {
         // TO_DST: 3 links × both directions; FROM_SRC: 1 × both; cross: 4.
         assert_eq!(g.n_edges(), 12);
         // Exactly half of the link edges are reversed-direction fallbacks.
-        let rev = g.in_edges.iter().flatten().filter(|e| e.reversed).count();
+        let rev = g.edges().iter().filter(|e| e.reversed).count();
         assert_eq!(rev, 4);
     }
 
@@ -414,7 +522,7 @@ mod tests {
         // pair (2,4) intra: 4 (two dirs × two layers);
         // self edges: 4. Total 12.
         assert_eq!(g.n_edges(), 12);
-        let phases: Vec<u8> = g.in_edges.iter().flatten().map(|e| e.phase).collect();
+        let phases: Vec<u8> = g.edges().iter().map(|e| e.phase).collect();
         assert!(phases.contains(&3));
         assert!(phases.contains(&2));
     }

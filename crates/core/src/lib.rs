@@ -28,12 +28,15 @@ pub mod graph;
 pub mod predict;
 pub mod rank;
 pub mod search;
+mod search_cache;
 pub mod source;
+mod tables;
 
 pub use client::{INanoClient, StaticSource};
 pub use config::PredictorConfig;
 pub use predict::{PathPredictor, PredictedPath, Resolution};
 pub use rank::rank_by_rtt;
+pub use search_cache::{SearchStats, SEARCH_CACHE_BYTES};
 pub use source::{
     chunk_span, content_tag, n_chunks, AtlasChunk, AtlasReader, AtlasSource, AtlasVersion,
     BlobFetch, BlobSource, DeltaHandle, DEFAULT_CHUNK_SIZE,

@@ -2,20 +2,21 @@
 //! paths with latency and loss estimates out.
 //!
 //! Searches are destination-rooted, so one search answers queries from
-//! *every* source to that destination; results are cached per destination
-//! prefix, which is exactly the access pattern of the application studies
-//! (many clients evaluating one replica, one client evaluating many
-//! relays, ...).
+//! *every* source to that destination; results are cached per search
+//! input (destination cluster and AS, see `SearchKey`), which is
+//! exactly the access pattern of the application studies (many clients
+//! evaluating one replica, one client evaluating many relays, ...).
 
 use crate::config::PredictorConfig;
 use crate::graph::PredictionGraph;
 use crate::search::{search, SearchResult};
+use crate::search_cache::{SearchCache, SearchKey, SearchStats, SEARCH_CACHE_BYTES};
+use crate::tables::AsTables;
 use inano_atlas::Atlas;
 use inano_model::{
     AsPath, Asn, ClusterId, Ipv4, LatencyMs, LossRate, ModelError, PrefixId, PrefixTrie,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A full bidirectional prediction.
@@ -30,9 +31,6 @@ pub struct PredictedPath {
     /// Estimated round-trip loss rate.
     pub loss: LossRate,
 }
-
-/// Maximum cached destination searches before the cache is cleared.
-const CACHE_CAP: usize = 512;
 
 /// Where an IP address attaches to the atlas — enough to compute a
 /// result-cache key without running the search itself. Produced by
@@ -90,18 +88,30 @@ pub struct PathPredictor {
     /// reversed links are disabled).
     relaxed: Option<PredictionGraph>,
     trie: PrefixTrie,
-    cache: Mutex<HashMap<(ClusterId, PrefixId, bool), Arc<SearchResult>>>,
+    cache: Mutex<SearchCache>,
 }
 
 impl PathPredictor {
     /// Build a predictor over an atlas. Graph construction is the only
     /// heavy step (linear in the atlas size).
     pub fn new(atlas: Arc<Atlas>, cfg: PredictorConfig) -> PathPredictor {
+        PathPredictor::with_cache_budget(atlas, cfg, SEARCH_CACHE_BYTES)
+    }
+
+    /// [`PathPredictor::new`] with a search-cache budget other than
+    /// [`SEARCH_CACHE_BYTES`] (for tests that need evictions on a small
+    /// atlas).
+    pub(crate) fn with_cache_budget(
+        atlas: Arc<Atlas>,
+        cfg: PredictorConfig,
+        cache_bytes: usize,
+    ) -> PathPredictor {
+        let tables = Arc::new(AsTables::new(&atlas, &cfg));
         let mut strict_cfg = cfg.clone();
         strict_cfg.allow_reversed_links = false;
-        let graph = PredictionGraph::build(&atlas, &strict_cfg);
+        let graph = PredictionGraph::build_with(&atlas, &strict_cfg, Arc::clone(&tables));
         let relaxed = if cfg.allow_reversed_links && !cfg.use_rel_graph {
-            Some(PredictionGraph::build(&atlas, &cfg))
+            Some(PredictionGraph::build_with(&atlas, &cfg, tables))
         } else {
             None
         };
@@ -112,7 +122,7 @@ impl PathPredictor {
             graph,
             relaxed,
             trie,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(SearchCache::new(cache_bytes)),
         }
     }
 
@@ -171,15 +181,24 @@ impl PathPredictor {
             .prefix_cluster
             .get(&dst_prefix)
             .ok_or_else(|| ModelError::NoPath(format!("{dst_prefix} has no known cluster")))?;
-        let key = (dst_cluster, dst_prefix, relaxed);
-        if let Some(r) = self.cache.lock().get(&key) {
-            return Ok(Arc::clone(r));
-        }
         let (_, dst_as) = *self
             .atlas
             .prefix_as
             .get(&dst_prefix)
             .ok_or_else(|| ModelError::NoPath(format!("{dst_prefix} has no origin AS")))?;
+        // The prefix itself only matters through a per-prefix provider
+        // refinement the search actually applies.
+        let refined =
+            self.cfg.use_providers && self.atlas.prefix_providers.contains_key(&dst_prefix);
+        let key = SearchKey {
+            dst_cluster,
+            dst_as,
+            refined_prefix: refined.then_some(dst_prefix),
+            relaxed,
+        };
+        if let Some(r) = self.cache.lock().get(&key) {
+            return Ok(r);
+        }
         let result = search(
             graph,
             &self.atlas,
@@ -189,13 +208,13 @@ impl PathPredictor {
             dst_as,
         )
         .ok_or_else(|| ModelError::NoPath(format!("{dst_prefix}: destination not in graph")))?;
-        let result = Arc::new(result);
-        let mut cache = self.cache.lock();
-        if cache.len() >= CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&result));
-        Ok(result)
+        Ok(self.cache.lock().insert(key, Arc::new(result)))
+    }
+
+    /// Search-cache counters: searches run, cache hits, evictions and
+    /// the bytes currently cached.
+    pub fn search_stats(&self) -> SearchStats {
+        self.cache.lock().stats()
     }
 
     /// Predict the one-way cluster-level path between two prefixes:
@@ -472,5 +491,81 @@ mod tests {
             .unwrap();
         // 7 (default) + 3.
         assert!((p.latency_of(&fwd).ms() - 10.0).abs() < 1e-9);
+    }
+
+    /// A bidirectional ring of `n` single-cluster ASes, one prefix each.
+    fn ring(n: u32) -> Arc<Atlas> {
+        let mut a = Atlas::default();
+        let cl = ClusterId::new;
+        for i in 0..n {
+            for (f, t) in [(i, (i + 1) % n), ((i + 1) % n, i)] {
+                a.links.insert(
+                    (cl(f), cl(t)),
+                    LinkAnnotation {
+                        latency: Some(LatencyMs::new(1.0)),
+                        plane: Plane::TO_DST,
+                    },
+                );
+            }
+            a.cluster_as.insert(cl(i), Asn::new(i + 1));
+            let pid = PrefixId::new(i);
+            a.prefix_cluster.insert(pid, cl(i));
+            a.prefix_as
+                .insert(pid, (Prefix::new(Ipv4((i + 1) << 16), 16), Asn::new(i + 1)));
+        }
+        Arc::new(a)
+    }
+
+    #[test]
+    fn a_destination_scan_evicts_one_entry_at_a_time_and_spares_hot_entries() {
+        let n = 48;
+        let mut cfg = PredictorConfig::with_tuples();
+        cfg.use_tuples = false;
+        cfg.use_from_src = false;
+        // Size one entry, then give the cache room for eight.
+        let probe = PathPredictor::new(ring(n), cfg.clone());
+        probe
+            .predict_forward(PrefixId::new(0), PrefixId::new(1))
+            .unwrap();
+        let entry = probe.search_stats().bytes;
+        let budget = 8 * entry;
+        let p = PathPredictor::with_cache_budget(ring(n), cfg, budget as usize);
+
+        let hot = PrefixId::new(0);
+        let mut filled = false;
+        // One caller scans the other destinations, twice over; between
+        // scan steps another re-queries the hot destination.
+        for step in 0..2 * (n - 1) {
+            let dst = PrefixId::new(1 + step % (n - 1));
+            let before = p.search_stats();
+            p.predict_forward(hot, dst).unwrap();
+            let after = p.search_stats();
+            assert!(after.bytes <= budget, "over budget at step {step}");
+            assert!(
+                after.evictions - before.evictions <= 1,
+                "one scan miss evicts at most one entry"
+            );
+            filled |= after.evictions > 0;
+            if filled {
+                // Never cleared wholesale: the cache stays (nearly) full.
+                assert!(after.bytes + entry > budget, "emptied at step {step}");
+            }
+
+            let before = p.search_stats();
+            p.predict_forward(dst, hot).unwrap();
+            let after = p.search_stats();
+            if step > 0 {
+                assert_eq!(
+                    (after.hits, after.searches),
+                    (before.hits + 1, before.searches),
+                    "the re-queried destination keeps hitting (step {step})"
+                );
+            }
+        }
+        let s = p.search_stats();
+        assert!(
+            filled && s.evictions >= u64::from(n),
+            "the scan overflowed the budget"
+        );
     }
 }

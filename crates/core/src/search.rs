@@ -20,67 +20,161 @@
 //! * **preferences**: equal-hop candidates at `v` are compared by the
 //!   observed preference of `A` between the two next ASes, ahead of the
 //!   exit-latency comparison (§4.3.3).
+//!
+//! The kernel works on dense ids throughout: CSR in-edges, a dense AS id
+//! per node, the predictor's packed `AsTables`
+//! for triples and preferences, and labels in a per-thread scratch
+//! buffer reused from search to search. What it returns is only the
+//! successor of every node, which is all [`SearchResult::cluster_path`]
+//! needs. The original `Option<Label>` implementation is kept under
+//! `#[cfg(test)]` as the reference it is checked against.
 
 use crate::config::PredictorConfig;
 use crate::graph::PredictionGraph;
+use crate::tables::{AsTables, NO_AS};
 use inano_atlas::Atlas;
 use inano_model::{Asn, ClusterId, PrefixId};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Per-node route label.
-#[derive(Clone, Copy, Debug)]
-pub struct Label {
-    pub hops: u16,
-    pub exit: f64,
-    /// Inter-AS hops taken over reversed (unobserved-direction) edges;
-    /// fewer is better at equal AS-hop count.
-    pub rev_hops: u16,
-    /// The forward successor node (toward the destination).
-    pub succ: u32,
-    /// First two distinct ASes after this node's AS on the path
-    /// (`None` when the path stays in this AS to the end).
-    pub next2: (Option<Asn>, Option<Asn>),
-    /// Phase in which the label was last improved; labels from earlier,
-    /// already-closed phases are frozen.
-    pub phase: u8,
-}
+#[cfg(test)]
+pub(crate) mod reference;
 
-/// The result of one destination-rooted search: labels for every node.
+/// Successor value of a node the search never reached.
+const UNREACHED: u32 = u32::MAX;
+
+/// The result of one destination-rooted search: each node's forward
+/// successor toward the destination (the destination node is its own
+/// successor).
 pub struct SearchResult {
     pub dest_cluster: ClusterId,
-    labels: Vec<Option<Label>>,
+    succ: Box<[u32]>,
 }
 
 impl SearchResult {
-    /// Label of a node.
-    pub fn label(&self, node: u32) -> Option<&Label> {
-        self.labels[node as usize].as_ref()
+    /// A result in which no node was reached (for cache tests).
+    #[cfg(test)]
+    pub(crate) fn unreached(dest_cluster: ClusterId, n_nodes: usize) -> SearchResult {
+        SearchResult {
+            dest_cluster,
+            succ: vec![UNREACHED; n_nodes].into(),
+        }
+    }
+
+    /// Did the search reach this node (does it have a route)?
+    pub fn reached(&self, node: u32) -> bool {
+        self.succ[node as usize] != UNREACHED
+    }
+
+    /// Approximate heap footprint in bytes (what a cache should charge).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.succ)
     }
 
     /// Reconstruct the forward cluster path from a node, collapsing
     /// layer transitions within a cluster.
     pub fn cluster_path(&self, g: &PredictionGraph, from: u32) -> Option<Vec<ClusterId>> {
-        self.labels[from as usize]?;
+        if !self.reached(from) {
+            return None;
+        }
         let mut out: Vec<ClusterId> = Vec::with_capacity(16);
         let mut cur = from;
-        for _ in 0..4 * self.labels.len() {
+        for _ in 0..4 * self.succ.len() {
             let c = g.node_cluster(cur);
             if out.last() != Some(&c) {
                 out.push(c);
             }
-            let l = self.labels[cur as usize]?;
-            if l.succ == cur {
+            let succ = self.succ[cur as usize];
+            if succ == UNREACHED {
+                return None;
+            }
+            if succ == cur {
                 return Some(out); // reached the destination node
             }
-            cur = l.succ;
+            cur = succ;
         }
         None // defensive: cycle in successor chain
     }
 }
 
+/// Per-node working label, in dense ids.
+#[derive(Clone, Copy)]
+struct Label {
+    exit: f64,
+    /// The forward successor node; [`UNREACHED`] when unlabelled.
+    succ: u32,
+    /// First two distinct ASes after this node's AS on the path
+    /// ([`NO_AS`] when the path stays in this AS to the end).
+    next2: [u32; 2],
+    hops: u16,
+    /// Inter-AS hops taken over reversed (unobserved-direction) edges;
+    /// fewer is better at equal AS-hop count.
+    rev_hops: u16,
+    /// Phase in which the label was last improved; labels from earlier,
+    /// already-closed phases are frozen.
+    phase: u8,
+}
+
+const UNLABELLED: Label = Label {
+    exit: 0.0,
+    succ: UNREACHED,
+    next2: [NO_AS; 2],
+    hops: 0,
+    rev_hops: 0,
+    phase: 0,
+};
+
+impl Label {
+    fn is_set(&self) -> bool {
+        self.succ != UNREACHED
+    }
+
+    /// First AS after `asn` on the path this label describes.
+    fn first_as_after(&self, asn: u32) -> u32 {
+        match self.next2 {
+            [NO_AS, _] => NO_AS,
+            [a, _] if a != asn => a,
+            [_, b] => b,
+        }
+    }
+
+    /// Heap key: AS hops, then quantised exit cost, then node — the
+    /// same total order the reference's `(hops, exit, node)` tuples
+    /// give, packed into one integer compare.
+    fn key(&self, node: u32) -> u128 {
+        (u128::from(self.hops) << 96) | (u128::from(quant(self.exit)) << 32) | u128::from(node)
+    }
+}
+
+/// Reusable per-thread search buffers.
+#[derive(Default)]
+struct Scratch {
+    labels: Vec<Label>,
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// What one search consults, resolved once up front.
+struct Rules<'a> {
+    tables: &'a AsTables,
+    use_tuples: bool,
+    use_prefs: bool,
+    /// Dense id of the destination AS ([`NO_AS`] if it owns no cluster).
+    dst_as: u32,
+    /// Dense ids of the destination's observed providers, sorted; `None`
+    /// when the provider check is off or the atlas records none.
+    /// Providers owning no cluster can never be the previous AS and are
+    /// left out.
+    providers: Option<Vec<u32>>,
+}
+
 /// Run the search toward `dest_cluster` (the home of `dst_prefix`,
-/// owned by `dst_as`).
+/// owned by `dst_as`). The 3-tuple exemption is the one `g` was built
+/// with (its edges' `tuple_exempt` flags).
 pub fn search(
     g: &PredictionGraph,
     atlas: &Atlas,
@@ -90,136 +184,156 @@ pub fn search(
     dst_as: Asn,
 ) -> Option<SearchResult> {
     let dest_node = g.dest_node(dest_cluster)?;
-    let mut labels: Vec<Option<Label>> = vec![None; g.n_nodes()];
-    labels[dest_node as usize] = Some(Label {
-        hops: 0,
-        exit: 0.0,
-        rev_hops: 0,
-        succ: dest_node,
-        next2: (None, None),
-        phase: 1,
-    });
-
-    // Providers constraint set, resolved once.
+    let tables = g.tables();
     let providers = if cfg.use_providers {
-        atlas.providers_for(dst_prefix, dst_as).cloned()
+        atlas.providers_for(dst_prefix, dst_as).map(|set| {
+            let mut dense: Vec<u32> = set.iter().filter_map(|&a| tables.dense(a)).collect();
+            dense.sort_unstable();
+            dense
+        })
     } else {
         None
     };
+    let rules = Rules {
+        tables,
+        use_tuples: cfg.use_tuples,
+        use_prefs: cfg.use_prefs,
+        dst_as: tables.dense(dst_as).unwrap_or(NO_AS),
+        providers,
+    };
+    let succ = SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        run(g, &rules, cfg.n_phases(), dest_node, scratch);
+        scratch.labels.iter().map(|l| l.succ).collect()
+    });
+    Some(SearchResult { dest_cluster, succ })
+}
 
-    let max_phase = cfg.n_phases();
+/// The label-setting loop, leaving its labels in `scratch`.
+fn run(
+    g: &PredictionGraph,
+    rules: &Rules<'_>,
+    max_phase: u8,
+    dest_node: u32,
+    scratch: &mut Scratch,
+) {
+    let Scratch { labels, heap } = scratch;
+    labels.clear();
+    labels.resize(g.n_nodes(), UNLABELLED);
+    labels[dest_node as usize] = Label {
+        succ: dest_node,
+        phase: 1,
+        ..UNLABELLED
+    };
+
     for phase in 1..=max_phase {
         // (Re-)seed the heap with every labelled node so newly enabled
         // edge classes get relaxed.
-        let mut heap: BinaryHeap<Reverse<(u16, u64, u32)>> = BinaryHeap::new();
+        heap.clear();
         for (idx, l) in labels.iter().enumerate() {
-            if let Some(l) = l {
-                heap.push(Reverse((l.hops, quant(l.exit), idx as u32)));
+            if l.is_set() {
+                heap.push(Reverse(l.key(idx as u32)));
             }
         }
-        while let Some(Reverse((hops, exitq, node))) = heap.pop() {
-            let Some(cur) = labels[node as usize] else {
-                continue;
-            };
-            if cur.hops != hops || quant(cur.exit) != exitq {
+        while let Some(Reverse(key)) = heap.pop() {
+            let node = key as u32;
+            let cur = labels[node as usize];
+            if cur.key(node) != key {
                 continue; // stale heap entry
             }
             let node_as = g.node_as(node);
-            for e in &g.in_edges[node as usize] {
+            let after = cur.first_as_after(node_as);
+            for e in g.in_edges(node) {
                 if e.phase > phase {
                     continue;
                 }
                 let u = e.src;
-                let u_as = g.node_as(u);
+                let held = &labels[u as usize];
                 // Frozen labels from closed phases are immutable.
-                if let Some(ul) = &labels[u as usize] {
-                    if ul.phase < phase {
-                        continue;
-                    }
+                if held.is_set() && held.phase < phase {
+                    continue;
+                }
+                let u_as = g.node_as(u);
+                let crossing = e.inter && u_as != node_as;
+                // `better` ranks AS hops, then reversed hops, first: a
+                // candidate already worse on those loses whatever the
+                // checks below would say, so skip them.
+                let rank = (
+                    cur.hops + u16::from(crossing),
+                    cur.rev_hops + u16::from(e.reversed),
+                );
+                if held.is_set() && rank > (held.hops, held.rev_hops) {
+                    continue;
                 }
 
-                let cand = if e.inter && u_as != node_as {
-                    // Crossing from AS u_as into node_as.
-                    if cfg.use_tuples {
-                        if let Some(c_after) = first_as_after(&cur, node_as) {
-                            // Low-degree middle ASes are exempt (their
-                            // exports are under-observed, §4.3.2) — but
-                            // only on observed-direction edges. A
-                            // reversed edge has no observational support
-                            // of its own, so it must be licensed by an
-                            // observed triple (commutativity makes
-                            // inbound observations license outbound
-                            // reverse traversal); otherwise reversed
-                            // shortcuts through stubs would fabricate
-                            // transit the Internet never provides.
-                            let exempt =
-                                !e.reversed && atlas.degree(node_as) <= cfg.tuple_min_degree;
-                            if !exempt && !atlas.has_triple(u_as, node_as, c_after) {
-                                continue;
-                            }
-                        }
+                let cand = if crossing {
+                    // Crossing from AS u_as into node_as. The tuple
+                    // check licenses the transit through node_as; a
+                    // low-degree node_as is exempt on observed-direction
+                    // edges only (flagged at build time).
+                    if rules.use_tuples
+                        && after != NO_AS
+                        && !e.tuple_exempt
+                        && !rules.tables.has_triple(u_as, node_as, after)
+                    {
+                        continue;
                     }
-                    if let Some(provs) = &providers {
+                    if let Some(provs) = &rules.providers {
                         // Final entry into the destination AS.
-                        if node_as == dst_as
-                            && first_as_after(&cur, node_as).is_none()
-                            && !provs.contains(&u_as)
+                        if node_as == rules.dst_as
+                            && after == NO_AS
+                            && provs.binary_search(&u_as).is_err()
                         {
                             continue;
                         }
                     }
                     Label {
-                        hops: cur.hops + 1,
                         exit: 0.0,
-                        rev_hops: cur.rev_hops + u16::from(e.reversed),
                         succ: node,
-                        next2: (Some(node_as), first_as_after(&cur, node_as)),
+                        next2: [node_as, after],
+                        hops: cur.hops + 1,
+                        rev_hops: cur.rev_hops + u16::from(e.reversed),
                         phase,
                     }
                 } else {
                     // Intra-AS, plane-cross or self edge.
                     Label {
-                        hops: cur.hops,
                         exit: cur.exit + e.latency,
-                        rev_hops: cur.rev_hops + u16::from(e.reversed),
                         succ: node,
                         next2: cur.next2,
+                        hops: cur.hops,
+                        rev_hops: cur.rev_hops + u16::from(e.reversed),
                         phase,
                     }
                 };
 
-                if better(&cand, &labels[u as usize], u_as, atlas, cfg) {
-                    heap.push(Reverse((cand.hops, quant(cand.exit), u)));
-                    labels[u as usize] = Some(cand);
+                if better(&cand, held, u_as, rules) {
+                    heap.push(Reverse(cand.key(u)));
+                    labels[u as usize] = cand;
                 }
             }
         }
     }
-
-    Some(SearchResult {
-        dest_cluster,
-        labels,
-    })
-}
-
-/// First AS after `asn` on the path a label describes.
-fn first_as_after(l: &Label, asn: Asn) -> Option<Asn> {
-    match l.next2 {
-        (Some(a), _) if a != asn => Some(a),
-        (Some(_), b) => b,
-        (None, _) => None,
-    }
 }
 
 /// Quantised exit cost for heap ordering (0.01 ms resolution keeps the
-/// ordering total and deterministic).
+/// ordering total and deterministic): `(exit * 100.0).round() as u64`,
+/// computed without the `round` library call. Truncation is a single
+/// conversion, `y - trunc(y)` is exact for every finite `y`, and the
+/// casts saturate the way `round() as u64` does (negative and NaN to 0,
+/// overflow to `u64::MAX`).
+#[inline]
 fn quant(exit: f64) -> u64 {
-    (exit * 100.0).round() as u64
+    let y = exit * 100.0;
+    let whole = y as u64;
+    whole.saturating_add(u64::from(y - whole as f64 >= 0.5))
 }
 
 /// Is `cand` a better label for a node in AS `a` than `cur`?
-fn better(cand: &Label, cur: &Option<Label>, a: Asn, atlas: &Atlas, cfg: &PredictorConfig) -> bool {
-    let Some(cur) = cur else { return true };
+fn better(cand: &Label, cur: &Label, a: u32, rules: &Rules<'_>) -> bool {
+    if !cur.is_set() {
+        return true;
+    }
     if cand.hops != cur.hops {
         return cand.hops < cur.hops;
     }
@@ -228,17 +342,16 @@ fn better(cand: &Label, cur: &Option<Label>, a: Asn, atlas: &Atlas, cfg: &Predic
         // observation is stronger evidence than inferred preference.
         return cand.rev_hops < cur.rev_hops;
     }
-    if cfg.use_prefs {
+    if rules.use_prefs {
         // Preference between the next ASes, when both are known and
         // differ (§4.3.3: applies to routes of the same length).
-        if let (Some(b1), Some(b2)) = (first_as_after(cand, a), first_as_after(cur, a)) {
-            if b1 != b2 {
-                if atlas.prefers(a, b1, b2) {
-                    return true;
-                }
-                if atlas.prefers(a, b2, b1) {
-                    return false;
-                }
+        let (b1, b2) = (cand.first_as_after(a), cur.first_as_after(a));
+        if b1 != NO_AS && b2 != NO_AS && b1 != b2 {
+            if rules.tables.prefers(a, b1, b2) {
+                return true;
+            }
+            if rules.tables.prefers(a, b2, b1) {
+                return false;
             }
         }
     }
@@ -305,6 +418,48 @@ mod tests {
 
     fn src_node(g: &PredictionGraph, c: u32) -> u32 {
         *g.source_nodes(ClusterId::new(c)).last().unwrap()
+    }
+
+    #[test]
+    fn quant_equals_round_then_cast() {
+        let reference = |x: f64| (x * 100.0).round() as u64;
+        let mut specials = vec![
+            0.0,
+            -0.0,
+            0.005,
+            0.015,
+            0.025,
+            -0.004,
+            -0.006,
+            -7.5,
+            0.004_999_999_999_999_999,
+            1.234_5,
+            2.5e13,
+            9.2e16,
+            1.8e17,
+            1.9e17,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::EPSILON,
+            f64::MIN_POSITIVE,
+        ];
+        // Values whose scaled form sits on or next to a half.
+        for k in 0..2_000u32 {
+            let half = (f64::from(k) + 0.5) / 100.0;
+            specials.extend([half, half.next_up(), half.next_down()]);
+        }
+        let mut z = 0x1234_5678u64;
+        for _ in 0..200_000 {
+            z = crate::tables::splitmix64(z);
+            specials.push(f64::from_bits(z));
+            specials.push((z >> 11) as f64 / (1u64 << 40) as f64 * 1e3);
+        }
+        for x in specials {
+            assert_eq!(quant(x), reference(x), "quant({x:e})");
+        }
     }
 
     #[test]
@@ -458,10 +613,10 @@ mod tests {
         // in the reversed direction from 4)... source 4 should have a
         // label, cluster 1 reaches it, but a fresh sink-only cluster is
         // unreachable. Use node of cluster 3: it must have a label.
-        assert!(r.label(src_node(&g, 3)).is_some());
+        assert!(r.reached(src_node(&g, 3)));
         // All labelled paths terminate at the destination.
         for n in 0..g.n_nodes() as u32 {
-            if r.label(n).is_some() {
+            if r.reached(n) {
                 let p = r.cluster_path(&g, n).unwrap();
                 assert_eq!(*p.last().unwrap(), ClusterId::new(4));
             }

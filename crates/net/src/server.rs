@@ -727,6 +727,7 @@ fn attach_shard_collector(obs: &MetricsRegistry, registry: &Arc<ShardRegistry>) 
             let n = id.raw();
             let stats = engine.stats();
             let mirror = engine.mirror_stats();
+            let search = engine.search_stats();
             out.push((
                 format!("shard{n}.queries"),
                 MetricValue::Counter(stats.queries),
@@ -747,6 +748,22 @@ fn attach_shard_collector(obs: &MetricsRegistry, registry: &Arc<ShardRegistry>) 
             out.push((
                 format!("shard{n}.cache.evictions"),
                 MetricValue::Counter(stats.cache_evictions),
+            ));
+            out.push((
+                format!("shard{n}.search.count"),
+                MetricValue::Counter(search.searches),
+            ));
+            out.push((
+                format!("shard{n}.search.hits"),
+                MetricValue::Counter(search.hits),
+            ));
+            out.push((
+                format!("shard{n}.search.evictions"),
+                MetricValue::Counter(search.evictions),
+            ));
+            out.push((
+                format!("shard{n}.search.bytes"),
+                MetricValue::Gauge(search.bytes),
             ));
             out.push((format!("shard{n}.epoch"), MetricValue::Gauge(stats.epoch)));
             out.push((

@@ -446,6 +446,63 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
     assert_eq!(stats.errors, 0);
 }
 
+/// Read one of a dump's counters or gauges by name.
+fn dump_value(dump: &inano_obs::MetricsDump, name: &str) -> u64 {
+    match dump.value(name) {
+        Some(inano_obs::MetricValue::Counter(v) | inano_obs::MetricValue::Gauge(v)) => *v,
+        other => panic!("{name} missing from the dump: {other:?}"),
+    }
+}
+
+#[test]
+fn search_cache_counters_are_published_and_stay_monotone_across_a_swap() {
+    let server = ring_server(ServerConfig::default());
+    let mut client = NetClient::connect(server.local_addr()).expect("connect");
+    let names = [
+        "shard0.search.count",
+        "shard0.search.hits",
+        "shard0.search.evictions",
+    ];
+    let read = |client: &mut NetClient| {
+        let dump = client.metrics().expect("metrics over the wire");
+        let counters: Vec<u64> = names.iter().map(|n| dump_value(&dump, n)).collect();
+        (counters, dump_value(&dump, "shard0.search.bytes"))
+    };
+
+    // Every source toward every destination: one search per
+    // destination, then hits for the other sources.
+    for r in client.query_batch(&all_pairs()).expect("batch") {
+        r.expect("the ring routes every pair");
+    }
+    let (before, bytes) = read(&mut client);
+    assert!(before[0] >= u64::from(RING), "one search per destination");
+    assert!(before[1] > 0, "sources sharing a destination hit the cache");
+    assert!(bytes > 0, "cached searches are charged");
+    assert_eq!(
+        engine0(&server).search_stats().searches,
+        before[0],
+        "the dump reports the engine's own counters"
+    );
+
+    // The swap retires the predictor that holds those counts; the
+    // engine folds them in, so nothing published goes backwards.
+    engine0(&server)
+        .apply_delta(&ring_shortcut_delta(RING, 0))
+        .expect("delta applies");
+    let (at_swap, bytes_at_swap) = read(&mut client);
+    for (name, (b, a)) in names.iter().zip(before.iter().zip(&at_swap)) {
+        assert!(a >= b, "{name} went from {b} to {a} across the swap");
+    }
+    assert_eq!(bytes_at_swap, 0, "the new generation starts empty");
+
+    client.query_batch(&all_pairs()).expect("post-swap batch");
+    let (after, _) = read(&mut client);
+    assert!(
+        after[0] > at_swap[0],
+        "the new generation's searches add to the total"
+    );
+}
+
 fn two_shard_server(rings: [u32; 2], cfg: ServerConfig) -> NetServer {
     let registry = ShardRegistry::from_engines(vec![
         (ShardId(0), ring_engine(rings[0])),

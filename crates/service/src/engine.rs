@@ -31,7 +31,7 @@ use crate::stats::{Metrics, MirrorMetrics, MirrorStats, ServiceStats};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     chunk_span, content_tag, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor,
-    PredictedPath, PredictorConfig,
+    PredictedPath, PredictorConfig, SearchStats,
 };
 use inano_model::{Ipv4, ModelError};
 use inano_obs::{EventJournal, EventKind};
@@ -195,6 +195,10 @@ pub struct QueryEngine {
     cfg: ServiceConfig,
     /// Serialises swap *builders*; never blocks readers.
     swap_lock: Mutex<()>,
+    /// Search-cache counters of every predictor this engine has
+    /// retired, folded in at the swap that retired it, so the totals
+    /// [`QueryEngine::search_stats`] reports never go backwards.
+    retired_search: Mutex<SearchStats>,
     /// `None` once [`QueryEngine::shutdown`] has run; batch submission
     /// takes the read lock just long enough to clone the sender.
     job_tx: RwLock<Option<mpsc::Sender<Job>>>,
@@ -269,6 +273,7 @@ impl QueryEngine {
             metrics,
             cfg,
             swap_lock: Mutex::new(()),
+            retired_search: Mutex::new(SearchStats::default()),
             job_tx: RwLock::new(Some(job_tx)),
             workers: Mutex::new(workers),
             n_workers,
@@ -404,7 +409,7 @@ impl QueryEngine {
         });
         let day = next.day();
         let epoch = next.epoch;
-        *self.current.write() = next;
+        self.install(next);
         self.metrics.swaps.fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::GenerationSwap, || {
             format!("epoch={epoch} day={day}")
@@ -559,7 +564,7 @@ impl QueryEngine {
         });
         let day = next.day();
         let epoch = next.epoch;
-        *self.current.write() = next;
+        self.install(next);
         self.metrics.swaps.fetch_add(1, Ordering::Relaxed);
         self.mirror.full_resyncs.fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::GenerationSwap, || {
@@ -574,6 +579,35 @@ impl QueryEngine {
         // instead of forcing the full resync this replace demands.
         self.delta_log.lock().clear();
         day
+    }
+
+    /// Make `next` the serving generation, folding the retired
+    /// predictor's search counters into the engine's running totals.
+    /// The fold and the pointer store happen under one lock that
+    /// [`QueryEngine::search_stats`] also takes, so a reader never sees
+    /// the retired counts twice or not at all.
+    fn install(&self, next: Arc<Generation>) {
+        let old = {
+            let mut retired = self.retired_search.lock();
+            let old = std::mem::replace(&mut *self.current.write(), next);
+            retired.fold(old.predictor.search_stats());
+            old
+        };
+        // The retired generation (often its last reference) is freed
+        // outside the lock.
+        drop(old);
+    }
+
+    /// The predictor's search-cache counters, summed over every
+    /// generation this engine has served (`bytes` is the serving
+    /// generation's alone). Counters are monotone across swaps.
+    pub fn search_stats(&self) -> SearchStats {
+        let retired = self.retired_search.lock();
+        let mut total = *retired;
+        let live = self.generation().predictor.search_stats();
+        total.fold(live);
+        total.bytes = live.bytes;
+        total
     }
 
     /// Snapshot the engine's counters.
