@@ -2,16 +2,17 @@
 //! per-shard engine counters into one fleet-wide view, and emit it as a
 //! single BENCH JSON line.
 //!
-//! The merge is exact, not approximate: `StatsReply` ships each
-//! engine's raw log₂ latency buckets, and `ServiceStats::aggregate`
-//! sums those bucket vectors element-wise before recomputing p50/p99 —
-//! merging histograms, where averaging per-server percentiles would be
+//! Both modes read the same thing: each server's unified
+//! [`MetricsDump`] (the `Metrics` frame), merged with
+//! [`MetricsDump::merged`] — counters sum, histograms sum element-wise,
+//! gauges take the fleet max. The merge is exact, not approximate:
+//! every shard's raw log₂ latency buckets are summed before p50/p99
+//! are recomputed, where averaging per-server percentiles would be
 //! statistically meaningless.
 //!
-//! With `--interval MS` the scraper becomes a time-series poller over
-//! the protocol-v4 `Metrics` frame: every tick it pulls each server's
-//! unified [`MetricsDump`], merges them (counters sum, histograms sum
-//! element-wise, gauges take the fleet max) and appends one sample —
+//! One-shot (the default) emits one `fleet_scrape` record. With
+//! `--interval MS` the scraper becomes a time-series poller: every tick
+//! it scrapes and merges the fleet's dumps and appends one sample —
 //! fleet queries, deltas applied, full resyncs, and the *fleet lag*
 //! (max minus min serving day across every scraped shard, the spread a
 //! mid-run delta swap opens and a mirror refresh closes). Each tick
@@ -27,13 +28,42 @@
 //!
 //! [`MetricsDump`]: inano_obs::MetricsDump
 
+use inano_bench::report::{bench_line, rounded};
 use inano_net::cli::{arg, repeated};
 use inano_net::NetClient;
-use inano_obs::MetricsDump;
-use inano_service::{ServiceStats, ShardId};
+use inano_obs::{quantile_from_counts, MetricValue, MetricsDump};
+use serde::Serialize;
 use std::time::{Duration, Instant};
 
+/// The one-shot BENCH record.
+#[derive(Serialize)]
+struct Snapshot {
+    bench: &'static str,
+    servers: usize,
+    shards: usize,
+    queries: u64,
+    errors: u64,
+    p50_us: u64,
+    p99_us: u64,
+    cache_hit: f64,
+    swaps: u64,
+    epoch: u64,
+    day: u64,
+}
+
+/// The `--interval` BENCH record.
+#[derive(Serialize)]
+struct Timeseries {
+    bench: &'static str,
+    servers: usize,
+    interval_ms: u64,
+    monotone: bool,
+    events_lost: u64,
+    ticks: Vec<Tick>,
+}
+
 /// One merged-fleet sample.
+#[derive(Serialize)]
 struct Tick {
     t_ms: u64,
     queries: u64,
@@ -47,27 +77,41 @@ struct Tick {
     events_lost: u64,
 }
 
+/// The value of every `shardN.<series>` gauge in `dump`.
+fn shard_gauges<'a>(dump: &'a MetricsDump, series: &'a str) -> impl Iterator<Item = u64> + 'a {
+    dump.entries
+        .iter()
+        .filter_map(move |(name, value)| match (name.split_once('.'), value) {
+            (Some((shard, rest)), MetricValue::Gauge(v))
+                if shard.starts_with("shard") && rest == series =>
+            {
+                Some(*v)
+            }
+            _ => None,
+        })
+}
+
 /// The serving-day spread across every shard of every dump: 0 when the
 /// whole fleet serves the same generation, positive while a swap at
 /// the origin has not yet propagated to every mirror.
 fn fleet_lag_days(dumps: &[MetricsDump]) -> u64 {
-    let mut min_day = u64::MAX;
-    let mut max_day = 0u64;
-    for dump in dumps {
-        for (name, value) in &dump.entries {
-            if name.starts_with("shard") && name.ends_with(".day") && !name.contains(".mirror.") {
-                if let inano_obs::MetricValue::Gauge(day) = value {
-                    min_day = min_day.min(*day);
-                    max_day = max_day.max(*day);
-                }
-            }
-        }
+    let days: Vec<u64> = dumps.iter().flat_map(|d| shard_gauges(d, "day")).collect();
+    match (days.iter().min(), days.iter().max()) {
+        (Some(lo), Some(hi)) => hi - lo,
+        _ => 0,
     }
-    if min_day == u64::MAX {
-        0
-    } else {
-        max_day - min_day
-    }
+}
+
+/// One client per target; panics name the address that failed.
+fn connect(targets: &[(String, String)]) -> Vec<(String, NetClient)> {
+    targets
+        .iter()
+        .map(|(_, addr)| {
+            let client =
+                NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
+            (addr.clone(), client)
+        })
+        .collect()
 }
 
 /// Poll every server's metrics dump once; panics carry the failing
@@ -87,14 +131,7 @@ fn timeseries(targets: &[(String, String)], interval_ms: u64, ticks: usize) {
     // Per-server state: the address (for error messages), the client,
     // and the event-journal cursor — the `next_seq` of the last page,
     // so each tick only pulls events the previous tick hasn't seen.
-    let mut clients: Vec<(String, NetClient)> = targets
-        .iter()
-        .map(|(_, addr)| {
-            let client =
-                NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
-            (addr.clone(), client)
-        })
-        .collect();
+    let mut clients = connect(targets);
     let mut cursors: Vec<u64> = vec![0; clients.len()];
     let started = Instant::now();
     let mut samples: Vec<Tick> = Vec::with_capacity(ticks);
@@ -157,71 +194,52 @@ fn timeseries(targets: &[(String, String)], interval_ms: u64, ticks: usize) {
     let monotone = samples
         .windows(2)
         .all(|w| w[1].queries >= w[0].queries && w[1].deltas_applied >= w[0].deltas_applied);
-    let rendered: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"t_ms\":{},\"queries\":{},\"deltas_applied\":{},\"full_resyncs\":{},\
-                 \"fleet_lag_days\":{},\"events\":{},\"events_lost\":{}}}",
-                s.t_ms,
-                s.queries,
-                s.deltas_applied,
-                s.full_resyncs,
-                s.fleet_lag_days,
-                s.events,
-                s.events_lost
-            )
-        })
-        .collect();
     // The contract line: exactly one JSON record on stdout.
-    println!(
-        "{{\"bench\":\"fleet_timeseries\",\"servers\":{},\"interval_ms\":{interval_ms},\
-         \"monotone\":{monotone},\"events_lost\":{events_lost_total},\"ticks\":[{}]}}",
-        clients.len(),
-        rendered.join(","),
-    );
+    bench_line(&Timeseries {
+        bench: "fleet_timeseries",
+        servers: clients.len(),
+        interval_ms,
+        monotone,
+        events_lost: events_lost_total,
+        ticks: samples,
+    });
 }
 
 fn one_shot(targets: &[(String, String)]) {
-    let mut parts: Vec<ServiceStats> = Vec::new();
-    let mut servers = 0usize;
-    for (_, addr) in targets {
-        let mut client =
-            NetClient::connect(addr).unwrap_or_else(|e| panic!("connect to {addr}: {e}"));
-        let shards = client
-            .shards()
-            .unwrap_or_else(|e| panic!("list shards of {addr}: {e}"));
-        servers += 1;
-        for info in shards {
-            let stats = client
-                .stats_on(ShardId(info.shard))
-                .unwrap_or_else(|e| panic!("stats of {addr} shard {}: {e}", info.shard));
+    let mut clients = connect(targets);
+    let dumps = scrape(&mut clients);
+    for ((addr, _), dump) in clients.iter().zip(&dumps) {
+        for (name, _) in dump.entries.iter().filter(|(n, _)| n.ends_with(".epoch")) {
+            let shard = name.trim_end_matches(".epoch");
+            let buckets = dump.histogram_sum(&format!("{shard}.latency_us"));
             eprintln!(
-                "{addr} shard {}: {} queries, epoch {}, day {}, p99 {}us",
-                info.shard, stats.queries, stats.epoch, stats.day, stats.p99_us
+                "{addr} {shard}: {} queries, epoch {}, day {}, p99 {}us",
+                dump.counter(&format!("{shard}.queries")),
+                dump.gauge(name),
+                dump.gauge(&format!("{shard}.day")),
+                quantile_from_counts(&buckets, 0.99)
             );
-            parts.push(stats.to_service_stats());
         }
     }
-
-    let fleet = ServiceStats::aggregate(parts.iter());
+    let shards = dumps.iter().map(|d| shard_gauges(d, "epoch").count()).sum();
+    let fleet = MetricsDump::merged(dumps.iter());
+    let latency = fleet.histogram_sum(".latency_us");
+    let hits = fleet.counter_sum(".cache.hits");
+    let probed = hits + fleet.counter_sum(".cache.misses");
     // The contract line: exactly one JSON record on stdout.
-    println!(
-        "{{\"bench\":\"fleet_scrape\",\"servers\":{servers},\"shards\":{},\"queries\":{},\
-         \"errors\":{},\"qps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"cache_hit\":{:.4},\
-         \"swaps\":{},\"epoch\":{},\"day\":{},\"workers\":{}}}",
-        parts.len(),
-        fleet.queries,
-        fleet.errors,
-        fleet.qps,
-        fleet.p50_us,
-        fleet.p99_us,
-        fleet.cache_hit_rate,
-        fleet.swaps,
-        fleet.epoch,
-        fleet.day,
-        fleet.workers,
-    );
+    bench_line(&Snapshot {
+        bench: "fleet_scrape",
+        servers: clients.len(),
+        shards,
+        queries: fleet.counter_sum(".queries"),
+        errors: fleet.counter_sum(".errors"),
+        p50_us: quantile_from_counts(&latency, 0.50),
+        p99_us: quantile_from_counts(&latency, 0.99),
+        cache_hit: rounded(hits as f64 / probed.max(1) as f64, 4),
+        swaps: fleet.counter_sum(".swaps"),
+        epoch: shard_gauges(&fleet, "epoch").max().unwrap_or(0),
+        day: shard_gauges(&fleet, "day").max().unwrap_or(0),
+    });
 }
 
 fn main() {

@@ -48,6 +48,7 @@
 //!         [--idle-peers N] [--udp-clients N]`
 
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
+use inano_bench::report::bench_line;
 use inano_core::{AtlasReader, AtlasSource};
 use inano_model::{ClusterId, Ipv4, LatencyMs};
 use inano_net::cli::arg;
@@ -57,10 +58,55 @@ use inano_obs::{now_ms, Event, EventKind};
 use inano_service::{QueryEngine, ServiceConfig, ShardId, DELTA_LOG_CAP};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// The BENCH record.
+#[derive(Serialize)]
+struct Record {
+    bench: &'static str,
+    ring: u32,
+    mirrors: usize,
+    depth: usize,
+    clients: usize,
+    idle_peers: usize,
+    udp_clients: usize,
+    duration_ms: u64,
+    origin_day: u32,
+    queries: u64,
+    failed_queries: u64,
+    failed_in_fault_windows: u64,
+    events: usize,
+    conn_events: usize,
+    events_lost: u64,
+    faults: Vec<FaultRecord>,
+    timeline: Vec<TimelineEntry>,
+}
+
+/// One injected fault and how the fleet recovered from it.
+#[derive(Serialize)]
+struct FaultRecord {
+    fault: &'static str,
+    node: String,
+    injected_t_ms: u64,
+    /// -1 when no recovery event arrived inside the timeout.
+    recovery_ms: i64,
+    /// The journal event kind that proved recovery; null on timeout.
+    recovered_by: Option<&'static str>,
+}
+
+/// One merged journal event (connection churn excluded).
+#[derive(Serialize)]
+struct TimelineEntry {
+    node: String,
+    seq: u64,
+    t_ms: u64,
+    kind: &'static str,
+    detail: String,
+}
 
 /// The day-`day` world: the demo ring plus, from day 1 on, a 0 ↔ n/2
 /// shortcut whose latency drifts a little every day — so every
@@ -768,78 +814,63 @@ fn main() {
         .iter()
         .filter(|(_, e)| matches!(e.kind, EventKind::ConnAccepted | EventKind::ConnClosed))
         .count();
-    let timeline_json: Vec<String> = merged
+    let timeline: Vec<TimelineEntry> = merged
         .iter()
         .filter(|(_, e)| !matches!(e.kind, EventKind::ConnAccepted | EventKind::ConnClosed))
-        .map(|(node, e)| {
-            format!(
-                "{{\"node\":{},\"seq\":{},\"t_ms\":{},\"kind\":{},\"detail\":{}}}",
-                json_str(node),
-                e.seq,
-                e.t_ms,
-                json_str(e.kind.name()),
-                json_str(&e.detail)
-            )
+        .map(|(node, e)| TimelineEntry {
+            node: node.clone(),
+            seq: e.seq,
+            t_ms: e.t_ms,
+            kind: e.kind.name(),
+            detail: e.detail.clone(),
         })
         .collect();
     // The contract line: exactly one JSON record on stdout.
-    println!(
-        "{{\"bench\":\"fleet_sim\",\"ring\":{ring},\"mirrors\":{mirrors},\"depth\":{depth},\
-         \"clients\":{clients},\"idle_peers\":{idle_peers},\"udp_clients\":{udp_clients},\
-         \"duration_ms\":{duration_ms},\"origin_day\":{origin_day},\
-         \"queries\":{},\"failed_queries\":{},\"failed_in_fault_windows\":{},\
-         \"events\":{},\"conn_events\":{conn_events},\"events_lost\":{},\
-         \"faults\":[{}],\"timeline\":[{}]}}",
-        shared.served.load(Ordering::Relaxed),
-        shared.failed_outside.load(Ordering::Relaxed),
-        shared.failed_inside.load(Ordering::Relaxed),
-        merged.len(),
-        events_lost.load(Ordering::Relaxed),
-        fault_records.join(","),
-        timeline_json.join(","),
-    );
-}
-
-/// A JSON string literal (quotes, backslashes and control bytes
-/// escaped) — journal details may quote upstream error messages.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    bench_line(&Record {
+        bench: "fleet_sim",
+        ring,
+        mirrors,
+        depth,
+        clients,
+        idle_peers,
+        udp_clients,
+        duration_ms,
+        origin_day,
+        queries: shared.served.load(Ordering::Relaxed),
+        failed_queries: shared.failed_outside.load(Ordering::Relaxed),
+        failed_in_fault_windows: shared.failed_inside.load(Ordering::Relaxed),
+        events: merged.len(),
+        conn_events,
+        events_lost: events_lost.load(Ordering::Relaxed),
+        faults: fault_records,
+        timeline,
+    });
 }
 
 /// One per-fault result row: the recovery latency is event-to-event
 /// (injection timestamp to the journal event that proves recovery),
 /// or -1 if the fleet never journaled recovery inside the timeout.
-fn record_fault(out: &mut Vec<String>, fault: &str, node: &str, fault_t: u64, ev: Option<Event>) {
+fn record_fault(
+    out: &mut Vec<FaultRecord>,
+    fault: &'static str,
+    node: &str,
+    fault_t: u64,
+    ev: Option<Event>,
+) {
     let recovery_ms: i64 = ev
         .as_ref()
         .map(|e| e.t_ms.saturating_sub(fault_t) as i64)
         .unwrap_or(-1);
-    let recovered_by = ev
-        .as_ref()
-        .map(|e| json_str(e.kind.name()))
-        .unwrap_or_else(|| "null".to_string());
+    let recovered_by = ev.as_ref().map(|e| e.kind.name());
     eprintln!(
         "fault {fault}: node={node} recovery_ms={recovery_ms} via={}",
-        ev.as_ref().map(|e| e.kind.name()).unwrap_or("timeout"),
+        recovered_by.unwrap_or("timeout"),
     );
-    out.push(format!(
-        "{{\"fault\":{},\"node\":{},\"injected_t_ms\":{fault_t},\"recovery_ms\":{recovery_ms},\
-         \"recovered_by\":{recovered_by}}}",
-        json_str(fault),
-        json_str(node),
-    ));
+    out.push(FaultRecord {
+        fault,
+        node: node.to_string(),
+        injected_t_ms: fault_t,
+        recovery_ms,
+        recovered_by,
+    });
 }

@@ -16,12 +16,26 @@
 //! Usage: `mirror_probe --origin ADDR --mirror ADDR [--ring N]
 //!         [--queries Q]`
 
+use inano_bench::report::bench_line;
 use inano_core::AtlasReader;
 use inano_model::rng::rng_for;
 use inano_net::cli::arg;
 use inano_net::demo::ring_ip;
 use inano_net::NetClient;
 use rand::Rng;
+use serde::Serialize;
+
+/// The BENCH record; `mismatches` is 0 by construction (any mismatch
+/// fails the probe before the record is written).
+#[derive(Serialize)]
+struct Record {
+    bench: &'static str,
+    tag: String,
+    atlas_bytes: u64,
+    chunks: u32,
+    parity_queries: usize,
+    mismatches: usize,
+}
 
 /// The probed shard: both fetch paths and the parity batch talk to the
 /// default shard only.
@@ -133,12 +147,13 @@ fn main() {
         );
     }
 
-    println!(
-        "{{\"bench\":\"mirror_probe\",\"tag\":\"{:#018x}\",\"atlas_bytes\":{},\"chunks\":{},\
-         \"parity_queries\":{queries},\"mismatches\":0}}",
-        origin_head.epoch_tag,
-        origin_head.full_len,
-        origin_head.n_chunks(),
-    );
+    bench_line(&Record {
+        bench: "mirror_probe",
+        tag: format!("{:#018x}", origin_head.epoch_tag),
+        atlas_bytes: origin_head.full_len,
+        chunks: origin_head.n_chunks(),
+        parity_queries: queries,
+        mismatches,
+    });
     eprintln!("PROBE OK origin={origin} mirror={mirror} shard={SHARD}");
 }

@@ -56,6 +56,7 @@
 //!         [--connections N] [--udp]`
 
 use inano_atlas::AtlasDelta;
+use inano_bench::report::{bench_line, rounded};
 use inano_bench::{Scenario, ScenarioConfig};
 use inano_core::PredictorConfig;
 use inano_model::rng::rng_for;
@@ -67,9 +68,68 @@ use inano_service::{
     QueryEngine, RegistryConfig, ServiceConfig, ShardId, ShardRegistry, ShardSpec,
 };
 use rand::Rng;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The TCP-mode BENCH record.
+#[derive(Serialize)]
+struct TcpRecord {
+    bench: &'static str,
+    transport: &'static str,
+    qps: f64,
+    p50_us: u64,
+    p99_us: u64,
+    queries: u64,
+    noroute: u64,
+    errors: u64,
+    clients: usize,
+    batch: usize,
+    depth: usize,
+    shards: usize,
+    rejected: u64,
+    swaps: u64,
+    epoch: u64,
+}
+
+/// The `--udp` BENCH record.
+#[derive(Serialize)]
+struct UdpRecord {
+    bench: &'static str,
+    transport: &'static str,
+    qps: f64,
+    p50_us: u64,
+    p99_us: u64,
+    queries: u64,
+    noroute: u64,
+    errors: u64,
+    clients: usize,
+    batch: usize,
+    ring: u32,
+    resends: u64,
+    stale_replies: u64,
+}
+
+/// The `--connections` BENCH record.
+#[derive(Serialize)]
+struct ConnSoak {
+    bench: &'static str,
+    connections: usize,
+    qps: f64,
+    p50_us: u64,
+    p99_us: u64,
+    queries: u64,
+    noroute: u64,
+    errors: u64,
+    clients: usize,
+    batch: usize,
+    depth: usize,
+    open_secs: f64,
+    connect_retries: u64,
+    accept_retries: u64,
+    rejected: u64,
+}
 
 /// Draw `n` scenario pairs — sources uniform, destinations zipf(s=1.0)
 /// by prefix rank. Pairs are not checked for routability: a pair the
@@ -257,6 +317,11 @@ fn run_idle_holder(n_conns: usize, addr: std::net::SocketAddr) -> ! {
     std::process::exit(0);
 }
 
+/// Connections the server is serving right now (`srv.active`).
+fn active(server: &NetServer) -> usize {
+    server.metrics().dump().gauge("srv.active") as usize
+}
+
 /// The `--connections N` soak: hold `n_conns` idle connections on an
 /// in-process ring-world server, run the active load through the
 /// crowd, and report the cost of the quiet majority as one
@@ -330,9 +395,9 @@ fn run_conn_soak(
         assert!(
             Instant::now() < open_deadline,
             "holders stalled: {} of {n_conns} registered",
-            server.counters().active
+            active(&server)
         );
-        let outstanding = granted.iter().sum::<usize>() - server.counters().active;
+        let outstanding = granted.iter().sum::<usize>() - active(&server);
         if outstanding >= CONNECT_WINDOW {
             std::thread::sleep(std::time::Duration::from_millis(2));
             continue;
@@ -351,11 +416,11 @@ fn run_conn_soak(
         next = (next + 1) % holders;
     }
     // Every held socket must be *registered*, not just accepted.
-    while server.counters().active < n_conns {
+    while active(&server) < n_conns {
         assert!(
             Instant::now() < open_deadline,
             "registrations stalled at {} of {n_conns}",
-            server.counters().active
+            active(&server)
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }
@@ -410,26 +475,21 @@ fn run_conn_soak(
     let p50 = quantile(&request_us, 0.50);
     let p99 = quantile(&request_us, 0.99);
 
-    let counters = server.counters();
+    let counters = server.metrics().dump();
     assert_eq!(faults, 0, "no query may fail through the idle crowd");
     assert_eq!(
-        counters.rejected, 0,
+        counters.counter("srv.rejected"),
+        0,
         "a correctly sized soak server refuses no one"
     );
     assert!(
-        counters.active >= n_conns,
+        counters.gauge("srv.active") as usize >= n_conns,
         "idle connections must survive the active load: {} of {} left",
-        counters.active,
+        counters.gauge("srv.active"),
         n_conns
     );
-    let accept_retries = match server
-        .metrics()
-        .dump()
-        .entries
-        .into_iter()
-        .find(|(n, _)| n == "srv.accept_retries")
-    {
-        Some((_, inano_obs::MetricValue::Counter(v))) => v,
+    let accept_retries = match counters.value("srv.accept_retries") {
+        Some(inano_obs::MetricValue::Counter(v)) => *v,
         other => panic!("srv.accept_retries missing from dump: {other:?}"),
     };
 
@@ -449,15 +509,23 @@ fn run_conn_soak(
     server.registry().shutdown();
 
     // The contract line: exactly one JSON record on stdout.
-    println!(
-        "{{\"bench\":\"conn_soak\",\"connections\":{n_conns},\"qps\":{qps:.1},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"queries\":{},\"noroute\":{noroute},\
-         \"errors\":{faults},\
-         \"clients\":{clients},\"batch\":{batch},\"depth\":{depth},\
-         \"open_secs\":{open_secs:.1},\"connect_retries\":{connect_retries},\
-         \"accept_retries\":{accept_retries},\"rejected\":{rejected}}}",
-        served + noroute + faults,
-    );
+    bench_line(&ConnSoak {
+        bench: "conn_soak",
+        connections: n_conns,
+        qps: rounded(qps, 1),
+        p50_us: p50,
+        p99_us: p99,
+        queries: served + noroute + faults,
+        noroute,
+        errors: faults,
+        clients,
+        batch,
+        depth,
+        open_secs: rounded(open_secs, 1),
+        connect_retries,
+        accept_retries,
+        rejected,
+    });
     std::process::exit(0);
 }
 
@@ -601,14 +669,21 @@ fn run_udp(n_queries: usize, clients: usize, batch: usize, ring: u32, connect: S
          over {clients} datagram clients: {qps:.0} qps, request p50 {p50}us / p99 {p99}us \
          (batch {batch}, {resends} resends, {stale} stale replies discarded)",
     );
-    println!(
-        "{{\"bench\":\"net_throughput\",\"transport\":\"udp\",\"qps\":{qps:.1},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\"queries\":{},\"noroute\":{noroute},\
-         \"errors\":{errors},\
-         \"clients\":{clients},\"batch\":{batch},\"ring\":{ring},\
-         \"resends\":{resends},\"stale_replies\":{stale}}}",
-        served + noroute + errors,
-    );
+    bench_line(&UdpRecord {
+        bench: "net_throughput",
+        transport: "udp",
+        qps: rounded(qps, 1),
+        p50_us: p50,
+        p99_us: p99,
+        queries: served + noroute + errors,
+        noroute,
+        errors,
+        clients,
+        batch,
+        ring,
+        resends,
+        stale_replies: stale,
+    });
     std::process::exit(0);
 }
 
@@ -800,25 +875,32 @@ fn main() {
                 );
             }
         }
-        let stats = probe.stats().expect("stats over the wire");
-        assert!(stats.swaps >= 1, "the mid-load swap must have happened");
+        // The unified dump, read under the load it just measured: the
+        // swap counter proves the mid-load swap, and the per-shard
+        // query counters must agree exactly with what the loadgen
+        // issued.
+        let dump = probe.metrics().expect("metrics dump over the wire");
+        swaps = dump.counter("shard0.swaps");
+        assert!(swaps >= 1, "the mid-load swap must have happened");
         assert_eq!(faults, 0, "no query may fail on any shard across the swap");
-        swaps = stats.swaps;
         epoch = e;
+        let (hits, misses) = (
+            dump.counter("shard0.cache.hits"),
+            dump.counter("shard0.cache.misses"),
+        );
         eprintln!(
             "shard 0 counters: {} queries, cache hit rate {:.3}, epoch {}, day {}",
-            stats.queries, stats.cache_hit_rate, stats.epoch, stats.day
+            dump.counter("shard0.queries"),
+            hits as f64 / (hits + misses).max(1) as f64,
+            dump.gauge("shard0.epoch"),
+            dump.gauge("shard0.day")
         );
-        // Protocol-v4 observability, exercised under the load it just
-        // measured: the unified dump's per-shard query counters must
-        // agree exactly with what the loadgen issued, and a traced
-        // call returns its stage breakdown.
-        let dump = probe.metrics().expect("metrics dump over the wire");
         assert_eq!(
             dump.counter_sum(".queries"),
             served + noroute + faults,
             "the metrics dump accounts for every query issued"
         );
+        // A traced call returns its stage breakdown.
         let (reply, t) = probe.call_traced(&Frame::Ping).expect("traced ping");
         assert!(matches!(reply, Frame::Pong), "traced ping answers Pong");
         eprintln!(
@@ -852,13 +934,21 @@ fn main() {
     );
 
     // The contract line: exactly one JSON record on stdout.
-    println!(
-        "{{\"bench\":\"net_throughput\",\"transport\":\"tcp\",\"qps\":{qps:.1},\
-         \"p50_us\":{p50},\"p99_us\":{p99},\
-         \"queries\":{},\"noroute\":{noroute},\"errors\":{faults},\
-         \"clients\":{clients},\"batch\":{batch},\
-         \"depth\":{depth},\"shards\":{shards},\"rejected\":{rejected},\
-         \"swaps\":{swaps},\"epoch\":{epoch}}}",
-        served + noroute + faults,
-    );
+    bench_line(&TcpRecord {
+        bench: "net_throughput",
+        transport: "tcp",
+        qps: rounded(qps, 1),
+        p50_us: p50,
+        p99_us: p99,
+        queries: served + noroute + faults,
+        noroute,
+        errors: faults,
+        clients,
+        batch,
+        depth,
+        shards,
+        rejected,
+        swaps,
+        epoch,
+    });
 }

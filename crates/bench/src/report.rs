@@ -1,5 +1,6 @@
 //! Report output: paper-style text to stdout, JSON to
-//! `target/experiments/` when `--json` is passed.
+//! `target/experiments/` when `--json` is passed, and the one-line
+//! BENCH records the throughput and fleet binaries emit.
 
 use inano_model::stats::Ecdf;
 use serde::Serialize;
@@ -25,6 +26,23 @@ pub fn emit<T: Serialize>(name: &str, text: &str, value: &T) {
             Err(e) => eprintln!("could not serialise {name}: {e}"),
         }
     }
+}
+
+/// Print `record` as the one BENCH JSON line a bench binary writes to
+/// stdout. Every contract line goes through here, so key order is the
+/// record's field order and strings are escaped one way.
+pub fn bench_line<T: Serialize>(record: &T) {
+    println!(
+        "{}",
+        serde_json::to_string(record).expect("a BENCH record serialises")
+    );
+}
+
+/// `x` rounded to `decimals` places, for record fields whose
+/// precision beyond that is noise.
+pub fn rounded(x: f64, decimals: i32) -> f64 {
+    let scale = 10f64.powi(decimals);
+    (x * scale).round() / scale
 }
 
 /// Format an ECDF as "value fraction" rows at the given percentile grid —

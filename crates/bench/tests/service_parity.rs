@@ -86,9 +86,9 @@ fn engine_matches_fresh_predictor_with_providers_enabled() {
         }
     }
     assert!(compared > 0, "sample must contain routable pairs");
-    let stats = engine.stats();
+    let stats = engine.metrics_dump("shard0");
     assert!(
-        stats.cache_hits > 0,
+        stats.counter("shard0.cache.hits") > 0,
         "pass 2 must see cache hits: {stats:?}"
     );
 }

@@ -419,27 +419,28 @@ fn main() {
 
     loop {
         std::thread::sleep(Duration::from_secs(60));
-        let c = server.counters();
-        let stats = registry.stats();
-        let per_shard: Vec<String> = stats
-            .shards
+        let dump = server.metrics().dump();
+        let per_shard: Vec<String> = registry
+            .shard_ids()
             .iter()
-            .map(|(id, s)| {
+            .map(|id| {
                 format!(
                     "{id} epoch {} day {} ({} queries)",
-                    s.epoch, s.day, s.queries
+                    dump.gauge(&format!("{id}.epoch")),
+                    dump.gauge(&format!("{id}.day")),
+                    dump.counter(&format!("{id}.queries"))
                 )
             })
             .collect();
         eprintln!(
             "up: {} conns active ({} accepted, {} rejected, {} faults, {} overloaded), \
              {} queries total; {}",
-            c.active,
-            c.accepted,
-            c.rejected,
-            c.faults,
-            c.overloaded,
-            stats.aggregate.queries,
+            dump.gauge("srv.active"),
+            dump.counter("srv.accepted"),
+            dump.counter("srv.rejected"),
+            dump.counter("srv.faults"),
+            dump.counter("srv.overloaded"),
+            dump.counter_sum(".queries"),
             per_shard.join(", "),
         );
     }

@@ -2,7 +2,7 @@
 //! instance with synchronous calls *and* pipelined batch submission.
 //!
 //! Every engine-touching call exists in two spellings: the plain one
-//! (`query_batch`, `stats`, `epoch`, `resolve`) talks to shard 0 —
+//! (`query_batch`, `epoch`, `resolve`) talks to shard 0 —
 //! exactly the pre-sharding semantics — and the `_on` variant
 //! (`query_batch_on`, ...) names a [`ShardId`] explicitly.
 //! [`NetClient::shards`] enumerates what the server hosts.
@@ -16,7 +16,7 @@
 //! round-trip time behind server-side work.
 
 use crate::wire::{read_frame, write_frame, Frame, Limits, ReadError, WireFault, TRACE_FLAG};
-use crate::wire::{WirePath, WireResolution, WireShardInfo, WireStats};
+use crate::wire::{WirePath, WireResolution, WireShardInfo};
 use inano_core::{AtlasChunk, AtlasSource, AtlasVersion, DeltaHandle};
 use inano_model::{ErrorCode, Ipv4, ModelError};
 use inano_obs::{EventsPage, MetricsDump, TraceTimings};
@@ -338,17 +338,6 @@ impl NetClient {
         }
     }
 
-    pub fn stats(&mut self) -> Result<WireStats, NetError> {
-        self.stats_on(ShardId::DEFAULT)
-    }
-
-    pub fn stats_on(&mut self, shard: ShardId) -> Result<WireStats, NetError> {
-        match self.call(&Frame::Stats { shard })? {
-            Frame::StatsReply { stats } => Ok(stats),
-            other => Err(unexpected("StatsReply", &other)),
-        }
-    }
-
     /// The default shard's serving `(epoch, day)`.
     pub fn epoch(&mut self) -> Result<(u64, u32), NetError> {
         self.epoch_on(ShardId::DEFAULT)
@@ -549,7 +538,7 @@ impl MirrorSource {
         &self.client
     }
 
-    /// The underlying connection (epoch probes, stats, ...).
+    /// The underlying connection (epoch probes, metrics, ...).
     pub fn client_mut(&mut self) -> &mut NetClient {
         &mut self.client
     }

@@ -92,7 +92,7 @@
 //! worker sends the reply straight back with `send_to` (UDP replies
 //! have no ordering contract, so no completion round-trip is needed).
 //! Only the single-shot request subset is servable — `Ping`,
-//! `QueryBatch`, `Resolve`, `Stats`, `Epoch`, `AtlasHead`; stream-only
+//! `QueryBatch`, `Resolve`, `Epoch`, `AtlasHead`; stream-only
 //! frames (chunk fetches, metrics/events pages) get a typed
 //! `NotOnDatagram` fault. A reply that would not fit one datagram
 //! ([`datagram_cap`]) is replaced by a typed `FrameTooLarge` fault.
@@ -112,8 +112,8 @@
 
 use crate::wire::{chunk_size_for, datagram_cap, decode_datagram, DatagramError};
 use crate::wire::{write_frame, Assembled, Frame, FrameAssembler, Limits};
-use crate::wire::{WireFault, WirePath, WireResolution, WireShardInfo, WireStats};
-use crate::wire::{HEADER_BYTES, MAGIC, MIN_VERSION, TRACE_FLAG, VERSION};
+use crate::wire::{WireFault, WirePath, WireResolution, WireShardInfo};
+use crate::wire::{HEADER_BYTES, MAGIC, TRACE_FLAG, VERSION};
 use inano_model::{ErrorCode, ModelError};
 use inano_obs::{
     EventJournal, EventKind, LatencyHistogram, MetricValue, MetricsRegistry, SlowLog, TraceCtx,
@@ -222,23 +222,6 @@ fn write_backlog_cap(cfg: &ServerConfig) -> usize {
         .max(1 << 20)
 }
 
-/// Counters for observability and tests.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ServerCounters {
-    /// Connections currently being served.
-    pub active: usize,
-    /// Connections accepted over the server's lifetime.
-    pub accepted: u64,
-    /// Connections refused by the admission gate.
-    pub rejected: u64,
-    /// Frames answered with an error (fatal or per-frame); does NOT
-    /// include in-flight rejections, which are healthy throttling and
-    /// counted in `overloaded` alone.
-    pub faults: u64,
-    /// Pipelined requests refused by the per-connection in-flight cap.
-    pub overloaded: u64,
-}
-
 /// One unit of work handed from the loop to a worker.
 struct Job {
     target: JobTarget,
@@ -330,6 +313,7 @@ struct Shared {
     overloaded_now: AtomicBool,
     cfg: ServerConfig,
     shutdown: AtomicBool,
+    /// Connections currently being served (`srv.active`).
     active: AtomicUsize,
     /// Estimated bytes of queued-but-unanswered requests, across every
     /// connection (see [`ServerConfig::max_request_bytes`]). `Arc`ed
@@ -340,9 +324,15 @@ struct Shared {
     /// High-water mark of `request_bytes` over the server's lifetime
     /// (the `srv.request_bytes_peak` gauge).
     request_bytes_peak: AtomicUsize,
+    /// Connections accepted over the server's lifetime.
     accepted: AtomicU64,
+    /// Connections refused by the admission gate.
     rejected: AtomicU64,
+    /// Frames answered with an error (fatal or per-frame); does NOT
+    /// include in-flight rejections, which are healthy throttling and
+    /// counted in `overloaded` alone.
     faults: AtomicU64,
+    /// Requests refused by the in-flight cap or the memory budget.
     overloaded: AtomicU64,
     /// Failed `accept()` calls (fd exhaustion, say) — each engages the
     /// accept backoff rather than hot-spinning the loop.
@@ -487,7 +477,10 @@ impl NetServer {
             completions: StdMutex::new(Vec::new()),
         });
         attach_server_collector(&shared);
-        attach_shard_collector(&shared.obs, &shared.registry);
+        let registry = Arc::clone(&shared.registry);
+        shared
+            .obs
+            .register_collector(move |out| registry.collect_metrics(out));
         let workers = thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -570,16 +563,6 @@ impl NetServer {
     /// (the mirror refresh loop, the swarm layer) may emit their own.
     pub fn journal(&self) -> &Arc<EventJournal> {
         &self.shared.journal
-    }
-
-    pub fn counters(&self) -> ServerCounters {
-        ServerCounters {
-            active: self.shared.active.load(Ordering::Relaxed),
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            faults: self.shared.faults.load(Ordering::Relaxed),
-            overloaded: self.shared.overloaded.load(Ordering::Relaxed),
-        }
     }
 
     /// Stop accepting, close every live connection, join all threads.
@@ -717,87 +700,6 @@ fn attach_server_collector(shared: &Arc<Shared>) {
     });
 }
 
-/// Snapshot every shard's engine, cache and mirror series as
-/// `shardN.*` at dump time — no per-request bookkeeping beyond what
-/// the engines already keep, so serving pays nothing for this.
-fn attach_shard_collector(obs: &MetricsRegistry, registry: &Arc<ShardRegistry>) {
-    let registry = Arc::clone(registry);
-    obs.register_collector(move |out| {
-        for (id, engine) in registry.iter() {
-            let n = id.raw();
-            let stats = engine.stats();
-            let mirror = engine.mirror_stats();
-            let search = engine.search_stats();
-            out.push((
-                format!("shard{n}.queries"),
-                MetricValue::Counter(stats.queries),
-            ));
-            out.push((
-                format!("shard{n}.errors"),
-                MetricValue::Counter(stats.errors),
-            ));
-            out.push((format!("shard{n}.swaps"), MetricValue::Counter(stats.swaps)));
-            out.push((
-                format!("shard{n}.cache.hits"),
-                MetricValue::Counter(stats.cache_hits),
-            ));
-            out.push((
-                format!("shard{n}.cache.misses"),
-                MetricValue::Counter(stats.cache_misses),
-            ));
-            out.push((
-                format!("shard{n}.cache.evictions"),
-                MetricValue::Counter(stats.cache_evictions),
-            ));
-            out.push((
-                format!("shard{n}.search.count"),
-                MetricValue::Counter(search.searches),
-            ));
-            out.push((
-                format!("shard{n}.search.hits"),
-                MetricValue::Counter(search.hits),
-            ));
-            out.push((
-                format!("shard{n}.search.evictions"),
-                MetricValue::Counter(search.evictions),
-            ));
-            out.push((
-                format!("shard{n}.search.bytes"),
-                MetricValue::Gauge(search.bytes),
-            ));
-            out.push((format!("shard{n}.epoch"), MetricValue::Gauge(stats.epoch)));
-            out.push((
-                format!("shard{n}.day"),
-                MetricValue::Gauge(stats.day as u64),
-            ));
-            out.push((
-                format!("shard{n}.latency_us"),
-                MetricValue::Histogram(stats.latency_buckets),
-            ));
-            out.push((
-                format!("shard{n}.mirror.deltas_applied"),
-                MetricValue::Counter(mirror.deltas_applied),
-            ));
-            out.push((
-                format!("shard{n}.mirror.full_resyncs"),
-                MetricValue::Counter(mirror.full_resyncs),
-            ));
-            out.push((
-                format!("shard{n}.mirror.races_recovered"),
-                MetricValue::Counter(mirror.races_recovered),
-            ));
-            out.push((
-                format!("shard{n}.mirror.lag_days"),
-                MetricValue::Gauge(mirror.lag_days as u64),
-            ));
-            out.push((
-                format!("shard{n}.mirror.upstream_day"),
-                MetricValue::Gauge(mirror.upstream_day as u64),
-            ));
-        }
-    });
-}
-
 /// Send a single error frame on a connection we won't serve, then close.
 fn refuse(stream: TcpStream, code: ErrorCode, message: impl Into<String>) -> io::Result<()> {
     let mut w = BufWriter::new(&stream);
@@ -870,7 +772,6 @@ fn frame_cost(frame: &Frame) -> usize {
             })
             .sum(),
         Frame::ChunkReply { bytes, .. } => bytes.len(),
-        Frame::StatsReply { stats } => 64 + stats.latency_buckets.len() * 8,
         Frame::MetricsReply { dump } => dump
             .entries
             .iter()
@@ -1672,7 +1573,6 @@ fn servable_on_datagram(frame: &Frame) -> bool {
         Frame::Ping
             | Frame::QueryBatch { .. }
             | Frame::Resolve { .. }
-            | Frame::Stats { .. }
             | Frame::Epoch { .. }
             | Frame::AtlasHead { .. }
     )
@@ -1687,7 +1587,7 @@ fn datagram_id(buf: &[u8]) -> Option<u64> {
         return None;
     }
     let magic = u32::from_be_bytes(buf[0..4].try_into().expect("sized slice"));
-    if magic != MAGIC || !(MIN_VERSION..=VERSION).contains(&buf[4]) {
+    if magic != MAGIC || buf[4] != VERSION {
         return None;
     }
     Some(u64::from_be_bytes(
@@ -1887,12 +1787,6 @@ fn respond(
             },
             Err(e) => fault_reply(&e),
         },
-        Frame::Stats { shard } => match registry.engine(*shard) {
-            Ok(engine) => Frame::StatsReply {
-                stats: WireStats::from(&engine.stats()),
-            },
-            Err(e) => fault_reply(&e),
-        },
         Frame::Epoch { shard } => match registry.epoch(*shard) {
             Ok((epoch, day)) => Frame::EpochReply { epoch, day },
             Err(e) => fault_reply(&e),
@@ -1979,7 +1873,6 @@ fn respond(
         Frame::Pong
         | Frame::PathBatch { .. }
         | Frame::ResolveReply { .. }
-        | Frame::StatsReply { .. }
         | Frame::EpochReply { .. }
         | Frame::ShardsReply { .. }
         | Frame::AtlasHeadReply { .. }
@@ -2094,9 +1987,12 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert_eq!(datagram_id(&bad), None);
-        let mut old = bytes;
-        old[4] = MIN_VERSION - 1;
-        assert_eq!(datagram_id(&old), None);
+        // Every other version, the previous one included, is refused.
+        for version in [VERSION - 1, VERSION + 1] {
+            let mut other = bytes.clone();
+            other[4] = version;
+            assert_eq!(datagram_id(&other), None, "version {version}");
+        }
     }
 
     #[test]

@@ -32,19 +32,20 @@ fn ring_server(cfg: ServerConfig) -> NetServer {
 
 /// Read one `srv.*` series out of the server's metrics dump.
 fn metric(server: &NetServer, name: &str) -> Option<MetricValue> {
-    server
-        .metrics()
-        .dump()
-        .entries
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v)
+    server.metrics().dump().value(name).cloned()
 }
 
 fn gauge(server: &NetServer, name: &str) -> u64 {
     match metric(server, name) {
         Some(MetricValue::Gauge(v)) => v,
         other => panic!("{name} should be a gauge, got {other:?}"),
+    }
+}
+
+fn counter(server: &NetServer, name: &str) -> u64 {
+    match metric(server, name) {
+        Some(MetricValue::Counter(v)) => v,
+        other => panic!("{name} should be a counter, got {other:?}"),
     }
 }
 
@@ -128,8 +129,8 @@ fn slow_consumer_backlog_is_bounded_and_other_connections_stay_served() {
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert_eq!(server.counters().overloaded, 0);
-    assert_eq!(server.counters().faults, 0);
+    assert_eq!(counter(&server, "srv.overloaded"), 0);
+    assert_eq!(counter(&server, "srv.faults"), 0);
 
     // Drained: the backlog gauge returns to zero.
     wait_for(20, "the backlog to drain", || {
@@ -156,7 +157,7 @@ fn idle_connections_ride_along_with_live_traffic() {
         })
         .collect();
     wait_for(20, "all idle connections to be accepted", || {
-        server.counters().active >= IDLE
+        gauge(&server, "srv.active") >= IDLE as u64
     });
 
     // Live traffic answers normally through the crowd.
@@ -173,15 +174,15 @@ fn idle_connections_ride_along_with_live_traffic() {
     // plus the listener and the notify pipe.
     assert_eq!(
         gauge(&server, "srv.loop.fds"),
-        server.counters().active as u64 + 2
+        gauge(&server, "srv.active") + 2
     );
-    assert_eq!(server.counters().accepted, IDLE as u64 + 1);
-    assert_eq!(server.counters().rejected, 0);
+    assert_eq!(counter(&server, "srv.accepted"), IDLE as u64 + 1);
+    assert_eq!(counter(&server, "srv.rejected"), 0);
 
     // Mass disconnect: the loop reaps every idle registration.
     drop(idles);
     wait_for(20, "idle connections to be reaped", || {
-        server.counters().active == 1
+        gauge(&server, "srv.active") == 1
     });
     assert_eq!(gauge(&server, "srv.loop.fds"), 3);
     client
@@ -233,4 +234,62 @@ fn loop_metrics_are_visible_over_the_wire() {
         }
         other => panic!("srv.loop.ready_events should be a histogram, got {other:?}"),
     }
+
+    // The complete published set, names and kinds — what perfbench,
+    // fleet_scrape and the text endpoint read. Renaming or retyping
+    // any series fails here.
+    assert_eq!(published(&dump), expected_series(false));
+    // With the datagram plane open, the `srv.udp.*` family joins.
+    let udp = ring_server(ServerConfig {
+        udp: Some("127.0.0.1:0".parse().expect("literal addr")),
+        ..ServerConfig::default()
+    });
+    assert_eq!(published(&udp.metrics().dump()), expected_series(true));
+}
+
+/// Every `(name, kind)` in a dump, in name order.
+fn published(dump: &inano_obs::MetricsDump) -> Vec<(String, &'static str)> {
+    dump.entries
+        .iter()
+        .map(|(name, value)| {
+            let kind = match value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            (name.clone(), kind)
+        })
+        .collect()
+}
+
+/// Every series a one-shard server publishes, as `name:kind`.
+const SERIES: &str = "\
+    shard0.queries:counter shard0.errors:counter shard0.swaps:counter \
+    shard0.cache.hits:counter shard0.cache.misses:counter shard0.cache.evictions:counter \
+    shard0.search.count:counter shard0.search.hits:counter shard0.search.evictions:counter \
+    shard0.search.bytes:gauge shard0.epoch:gauge shard0.day:gauge \
+    shard0.latency_us:histogram shard0.mirror.deltas_applied:counter \
+    shard0.mirror.full_resyncs:counter shard0.mirror.races_recovered:counter \
+    shard0.mirror.lag_days:gauge shard0.mirror.upstream_day:gauge \
+    srv.accepted:counter srv.rejected:counter srv.faults:counter srv.overloaded:counter \
+    srv.accept_retries:counter srv.active:gauge srv.request_bytes:gauge \
+    srv.request_bytes_peak:gauge srv.events_head:gauge srv.loop.wakeups:counter \
+    srv.loop.fds:gauge srv.loop.write_backlog_bytes:gauge srv.loop.ready_events:histogram";
+
+/// The datagram plane's series, published only when it is open.
+const UDP_SERIES: &str = "\
+    srv.udp.datagrams_in:counter srv.udp.datagrams_out:counter srv.udp.truncated:counter \
+    srv.udp.shed:counter srv.udp.oversize_reply:counter";
+
+fn expected_series(udp: bool) -> Vec<(String, &'static str)> {
+    let mut out: Vec<(String, &'static str)> = SERIES
+        .split_whitespace()
+        .chain(UDP_SERIES.split_whitespace().filter(|_| udp))
+        .map(|entry| {
+            let (name, kind) = entry.split_once(':').expect("name:kind");
+            (name.to_string(), kind)
+        })
+        .collect();
+    out.sort();
+    out
 }

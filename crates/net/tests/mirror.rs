@@ -166,8 +166,9 @@ fn mirror_chain_propagates_the_atlas_and_its_deltas() {
         "day-1 shortcut at the chain end"
     );
     // Zero failed queries mid-swap, on the engines and over the wire.
-    assert_eq!(mirror_engine.stats().errors, 0);
-    assert_eq!(mirror.counters().faults, 0);
+    let dump = mirror.metrics().dump();
+    assert_eq!(dump.counter("shard0.errors"), 0);
+    assert_eq!(dump.counter("srv.faults"), 0);
 }
 
 /// The mirror-side convergence instruments, end to end: the lag gauge

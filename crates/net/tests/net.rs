@@ -47,6 +47,11 @@ fn engine0(server: &NetServer) -> &Arc<QueryEngine> {
         .expect("shard 0 exists")
 }
 
+/// The server's metrics dump, read in process.
+fn dump(server: &NetServer) -> inano_obs::MetricsDump {
+    server.metrics().dump()
+}
+
 fn all_pairs() -> Vec<(Ipv4, Ipv4)> {
     (0..RING)
         .flat_map(|s| {
@@ -88,13 +93,17 @@ fn remote_answers_equal_embedded_answers() {
         .unwrap();
     assert_eq!(r.into_resolution(), local);
 
-    // Stats flow over the wire and reflect the served load — raw
-    // latency buckets included, holding exactly the served queries.
-    let stats = client.stats().expect("stats");
-    assert!(stats.queries >= pairs.len() as u64);
-    assert_eq!(stats.epoch, 0);
-    assert_eq!(stats.day, 0);
-    assert_eq!(stats.latency_buckets.iter().sum::<u64>(), stats.queries);
+    // Engine counters flow over the wire and reflect the served load —
+    // raw latency buckets included, holding exactly the served queries.
+    let stats = client.metrics().expect("metrics");
+    let queries = stats.counter("shard0.queries");
+    assert!(queries >= pairs.len() as u64);
+    assert_eq!(stats.gauge("shard0.epoch"), 0);
+    assert_eq!(stats.gauge("shard0.day"), 0);
+    assert_eq!(
+        stats.histogram_sum("shard0.latency_us").iter().sum::<u64>(),
+        queries
+    );
     assert_eq!(client.epoch().expect("epoch"), (0, 0));
 
     // A single-shard server lists exactly shard 0.
@@ -181,42 +190,30 @@ fn bad_version_gets_a_typed_error_then_close() {
     }
 }
 
-/// Protocol additivity, over a live socket: frames exactly as a v3 or
-/// v4 client would send them (same bytes, older version stamp) must be
-/// served by a v5 server with no behavioral difference.
+/// A receiver accepts exactly the current version: a version-5 header
+/// — byte-for-byte what a v5 client sends — is a fatal `BadVersion`,
+/// answered with one `Error` frame under request id 0 (the stream can
+/// no longer be trusted to be frame-aligned), and then the connection
+/// closes.
 #[test]
-fn v3_and_v4_clients_interop_unchanged_against_a_v5_server() {
+fn version_5_header_is_fatal_on_a_stream() {
     let server = ring_server(ServerConfig::default());
-    for old in [3u8, 4] {
-        let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
-        let mut bytes = Frame::Ping.encode(7);
-        bytes[4] = old;
-        raw.write_all(&bytes).expect("write ping");
-        let (id, reply) = read_frame(&mut raw, &Limits::default())
-            .expect("answered")
-            .expect("one frame");
-        assert_eq!(id, 7);
-        assert!(matches!(reply, Frame::Pong), "v{old} ping answered");
-
-        let mut bytes = Frame::QueryBatch {
-            shard: ShardId::DEFAULT,
-            pairs: vec![(ring_ip(0), ring_ip(3))],
-        }
-        .encode(8);
-        bytes[4] = old;
-        raw.write_all(&bytes).expect("write batch");
-        let (id, reply) = read_frame(&mut raw, &Limits::default())
-            .expect("answered")
-            .expect("one frame");
-        assert_eq!(id, 8);
-        match reply {
-            Frame::PathBatch { results } => {
-                assert_eq!(results.len(), 1);
-                assert!(results[0].is_ok(), "v{old} query served");
-            }
-            other => panic!("want PathBatch, got {other:?}"),
-        }
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut bytes = Frame::Ping.encode(7);
+    bytes[4] = 5;
+    raw.write_all(&bytes).expect("write ping");
+    let (id, reply) = read_frame(&mut raw, &Limits::default())
+        .expect("answered")
+        .expect("one frame");
+    assert_eq!(id, 0, "a fatal fault is not attributed to a request");
+    match reply {
+        Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::BadVersion),
+        other => panic!("want error frame, got {other:?}"),
     }
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).expect("clean close");
+    assert!(rest.is_empty(), "nothing follows the fault");
+    assert_eq!(dump(&server).counter("srv.faults"), 1);
 }
 
 /// The event journal over the wire: the server's own admission shows
@@ -314,7 +311,7 @@ fn over_limit_batch_faults_but_the_connection_survives() {
         .query_batch(&[(ring_ip(0), ring_ip(1))])
         .expect("small batch");
     assert!(ok[0].is_ok());
-    assert!(server.counters().faults >= 1);
+    assert!(dump(&server).counter("srv.faults") >= 1);
 }
 
 #[test]
@@ -349,7 +346,7 @@ fn admission_gate_refuses_with_overloaded() {
         Frame::Error { fault } => assert_eq!(fault.code, ErrorCode::Overloaded),
         other => panic!("want error frame, got {other:?}"),
     }
-    assert_eq!(server.counters().rejected, 1);
+    assert_eq!(dump(&server).counter("srv.rejected"), 1);
 
     // The same refusal is observable through NetClient as a typed
     // frame (request id 0), so callers can implement backoff on the
@@ -441,9 +438,9 @@ fn swap_under_remote_load_is_lossless_and_bumps_the_epoch() {
         .clone()
         .expect("routable");
     assert_eq!(after.fwd_clusters.len(), 2, "post-swap: the shortcut");
-    let stats = probe.stats().expect("stats");
-    assert_eq!(stats.swaps, 1);
-    assert_eq!(stats.errors, 0);
+    let stats = probe.metrics().expect("metrics");
+    assert_eq!(stats.counter("shard0.swaps"), 1);
+    assert_eq!(stats.counter("shard0.errors"), 0);
 }
 
 /// Read one of a dump's counters or gauges by name.
@@ -545,8 +542,9 @@ fn shards_route_independently_behind_one_listener() {
         .into_predicted();
     assert_eq!(on_1.fwd_clusters.len(), 3);
 
-    // Per-shard stats see per-shard load only.
-    assert_eq!(client.stats_on(ShardId(1)).expect("stats").queries, 1);
+    // Per-shard counters see per-shard load only.
+    let stats = client.metrics().expect("metrics");
+    assert_eq!(stats.counter("shard1.queries"), 1);
 }
 
 #[test]
@@ -563,7 +561,7 @@ fn unknown_shard_gets_a_typed_error_and_the_connection_survives() {
     }
     assert_unknown_shard(client.query_batch_on(missing, &[(ring_ip(0), ring_ip(1))]));
     assert_unknown_shard(client.epoch_on(missing));
-    assert_unknown_shard(client.stats_on(missing));
+    assert_unknown_shard(client.atlas_head_on(missing));
     assert_unknown_shard(client.resolve_on(missing, ring_ip(0)));
 
     // Four per-frame faults, zero connection losses.
@@ -572,7 +570,7 @@ fn unknown_shard_gets_a_typed_error_and_the_connection_survives() {
         .query_batch(&[(ring_ip(0), ring_ip(1))])
         .expect("shard 0 still serves")[0]
         .is_ok());
-    assert!(server.counters().faults >= 4);
+    assert!(dump(&server).counter("srv.faults") >= 4);
 }
 
 #[test]
@@ -638,10 +636,15 @@ fn swap_on_one_shard_is_lossless_and_invisible_on_the_other() {
         far as usize + 1,
         "shard 1 still serves the long way around"
     );
-    let s0 = probe.stats().expect("stats");
-    let s1 = probe.stats_on(ShardId(1)).expect("stats");
-    assert_eq!((s0.swaps, s0.errors), (1, 0));
-    assert_eq!((s1.swaps, s1.errors), (0, 0));
+    let s = probe.metrics().expect("metrics");
+    assert_eq!(
+        (s.counter("shard0.swaps"), s.counter("shard0.errors")),
+        (1, 0)
+    );
+    assert_eq!(
+        (s.counter("shard1.swaps"), s.counter("shard1.errors")),
+        (0, 0)
+    );
 }
 
 #[test]
@@ -707,7 +710,7 @@ fn hostile_pipeliner_gets_typed_overloaded_not_unbounded_queueing() {
         overloaded >= 1,
         "a flood beyond the cap must see typed rejections"
     );
-    assert_eq!(server.counters().overloaded, overloaded);
+    assert_eq!(dump(&server).counter("srv.overloaded"), overloaded);
 
     // The connection is intact: one more request, served normally.
     raw.try_clone()
@@ -809,9 +812,13 @@ fn shared_request_budget_rejects_typed_across_many_connections() {
         overloaded >= 1,
         "a flood beyond the shared budget must see typed rejections"
     );
-    let counters = server.counters();
-    assert_eq!(counters.overloaded, overloaded);
-    assert_eq!(counters.faults, 0, "throttling is not a fault");
+    let counters = dump(&server);
+    assert_eq!(counters.counter("srv.overloaded"), overloaded);
+    assert_eq!(
+        counters.counter("srv.faults"),
+        0,
+        "throttling is not a fault"
+    );
 }
 
 #[test]

@@ -53,14 +53,8 @@ fn no_rate() -> ServerConfig {
 }
 
 fn udp_counter(server: &NetServer, name: &str) -> u64 {
-    match server
-        .metrics()
-        .dump()
-        .entries
-        .into_iter()
-        .find(|(n, _)| n == name)
-    {
-        Some((_, inano_obs::MetricValue::Counter(v))) => v,
+    match server.metrics().dump().value(name) {
+        Some(&inano_obs::MetricValue::Counter(v)) => v,
         other => panic!("{name} missing from dump: {other:?}"),
     }
 }
@@ -102,15 +96,19 @@ fn datagram_answers_equal_stream_answers() {
         dgram.atlas_head().expect("datagram head"),
         stream.atlas_head().expect("stream head")
     );
-    // Stats move under load; compare the stable identity fields.
-    let s_udp = dgram.stats().expect("datagram stats");
-    let s_tcp = stream.stats().expect("stream stats");
-    assert_eq!((s_udp.epoch, s_udp.day), (s_tcp.epoch, s_tcp.day));
-    assert!(s_udp.queries >= pairs.len() as u64);
+    // Both transports' batches were served by the same engine.
+    let dump = stream.metrics().expect("stream metrics");
+    assert!(dump.counter("shard0.queries") >= 2 * pairs.len() as u64);
 
     // Shard addressing works on datagrams too.
     let (epoch, day) = dgram.epoch_on(ShardId::DEFAULT).expect("epoch on shard 0");
     assert_eq!((epoch, day), (0, 0));
+    assert_eq!(
+        dgram
+            .resolve_on(ShardId::DEFAULT, ring_ip(5))
+            .expect("datagram resolve on shard 0"),
+        stream.resolve(ring_ip(5)).expect("stream resolve")
+    );
     // ...and a shard the server does not host faults typed.
     match dgram.epoch_on(ShardId(9)) {
         Err(NetError::Remote(fault)) => assert_eq!(fault.code, ErrorCode::UnknownShard),
@@ -180,15 +178,23 @@ fn garbage_datagrams_are_dropped_counted_and_harmless() {
     sock.set_read_timeout(Some(Duration::from_millis(200)))
         .expect("timeout");
 
-    // Noise: short fragments, wrong magic, ancient version. None of
-    // it is attributable, so none of it may draw a reply — answering
-    // would make the server a reflection amplifier.
+    // Noise: short fragments, wrong magic, an ancient version, and a
+    // well-formed query under the previous version (5) — a receiver
+    // accepts exactly the current one. None of it is attributable, so
+    // none of it may draw a reply — answering would make the server a
+    // reflection amplifier.
     let ping = Frame::Ping.encode(7);
-    let mut old_version = ping.clone();
-    old_version[4] = 1; // below MIN_VERSION
+    let mut ancient = ping.clone();
+    ancient[4] = 1;
+    let mut v5_query = Frame::QueryBatch {
+        shard: ShardId::DEFAULT,
+        pairs: vec![(ring_ip(0), ring_ip(1))],
+    }
+    .encode(8);
+    v5_query[4] = 5;
     let mut bad_magic = ping.clone();
     bad_magic[0] ^= 0xff;
-    let noise: [&[u8]; 5] = [b"", b"hi", &ping[..10], &bad_magic, &old_version];
+    let noise: [&[u8]; 6] = [b"", b"hi", &ping[..10], &bad_magic, &ancient, &v5_query];
     for bytes in noise {
         sock.send(bytes).expect("send noise");
     }

@@ -11,7 +11,7 @@ use inano_net::wire::{
     datagram_cap, decode_datagram, read_frame, DatagramError, Frame, Limits, ReadError,
     CHUNK_WIRE_OVERHEAD, HEADER_BYTES, TRACE_FLAG,
 };
-use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo, WireStats};
+use inano_net::{chunk_size_for, WireFault, WirePath, WireResolution, WireShardInfo};
 use inano_obs::{
     Event, EventKind, EventsPage, MetricValue, MetricsDump, MetricsRegistry, TraceTimings,
 };
@@ -52,31 +52,6 @@ prop_compose! {
         refined_providers in any::<bool>(),
     ) -> WireResolution {
         WireResolution { prefix, cluster, origin_as, cluster_as, refined_providers }
-    }
-}
-
-prop_compose! {
-    fn arb_stats()(
-        queries in any::<u64>(),
-        errors in any::<u64>(),
-        qps in 0.0f64..1e9,
-        p50_us in any::<u64>(),
-        p99_us in any::<u64>(),
-        cache_hits in any::<u64>(),
-        cache_misses in any::<u64>(),
-        cache_evictions in any::<u64>(),
-        cache_hit_rate in 0.0f64..1.0,
-        swaps in any::<u64>(),
-        epoch in any::<u64>(),
-        day in any::<u32>(),
-        workers in any::<u32>(),
-        latency_buckets in proptest::collection::vec(any::<u64>(), 0..48),
-    ) -> WireStats {
-        WireStats {
-            queries, errors, qps, p50_us, p99_us, cache_hits, cache_misses,
-            cache_evictions, cache_hit_rate, swaps, epoch, day, workers,
-            latency_buckets,
-        }
     }
 }
 
@@ -211,13 +186,12 @@ prop_compose! {
 // exercised (the stand-in proptest has no `prop_oneof!`).
 prop_compose! {
     fn arb_frame()(
-        variant in 0usize..25,
+        variant in 0usize..23,
         shard in any::<u16>(),
         pairs in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
         results in proptest::collection::vec(arb_result(), 0..20),
         ip in any::<u32>(),
         resolution in arb_resolution(),
-        stats in arb_stats(),
         epoch in any::<u64>(),
         day in any::<u32>(),
         shard_infos in proptest::collection::vec(arb_shard_info(), 0..16),
@@ -242,24 +216,22 @@ prop_compose! {
             3 => Frame::PathBatch { results },
             4 => Frame::Resolve { shard: ShardId(shard), ip: Ipv4(ip) },
             5 => Frame::ResolveReply { resolution },
-            6 => Frame::Stats { shard: ShardId(shard) },
-            7 => Frame::StatsReply { stats },
-            8 => Frame::Epoch { shard: ShardId(shard) },
-            9 => Frame::EpochReply { epoch, day },
-            10 => Frame::ListShards,
-            11 => Frame::ShardsReply { shards: shard_infos },
-            12 => Frame::AtlasHead { shard: ShardId(shard) },
-            13 => Frame::AtlasHeadReply { version },
-            14 => Frame::FetchFullChunk { shard: ShardId(shard), epoch_tag, idx },
-            15 => Frame::FetchDelta { shard: ShardId(shard), have_day: day },
-            16 => Frame::DeltaReply { handle },
-            17 => Frame::FetchDeltaChunk { shard: ShardId(shard), from_day: day, idx },
-            18 => Frame::ChunkReply { idx, crc, bytes: chunk },
-            19 => Frame::Error { fault },
-            20 => Frame::Metrics,
-            21 => Frame::MetricsReply { dump },
-            22 => Frame::TraceReply { timings },
-            23 => Frame::Events { since_seq: epoch },
+            6 => Frame::Epoch { shard: ShardId(shard) },
+            7 => Frame::EpochReply { epoch, day },
+            8 => Frame::ListShards,
+            9 => Frame::ShardsReply { shards: shard_infos },
+            10 => Frame::AtlasHead { shard: ShardId(shard) },
+            11 => Frame::AtlasHeadReply { version },
+            12 => Frame::FetchFullChunk { shard: ShardId(shard), epoch_tag, idx },
+            13 => Frame::FetchDelta { shard: ShardId(shard), have_day: day },
+            14 => Frame::DeltaReply { handle },
+            15 => Frame::FetchDeltaChunk { shard: ShardId(shard), from_day: day, idx },
+            16 => Frame::ChunkReply { idx, crc, bytes: chunk },
+            17 => Frame::Error { fault },
+            18 => Frame::Metrics,
+            19 => Frame::MetricsReply { dump },
+            20 => Frame::TraceReply { timings },
+            21 => Frame::Events { since_seq: epoch },
             _ => Frame::EventsReply { page },
         }
     }

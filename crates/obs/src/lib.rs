@@ -4,7 +4,7 @@
 //! through here: the unified [`MetricsRegistry`] (named counters,
 //! gauges and log₂ [`LatencyHistogram`]s behind cheap atomic handles),
 //! the mergeable [`MetricsDump`] snapshot it exports (counters and
-//! histograms merge exactly, like `ServiceStats::aggregate`), the
+//! histogram buckets sum exactly, never averaging percentiles), the
 //! request-scoped [`TraceCtx`] that times a request through the
 //! decode → queue → engine → encode stages, the drainable [`SlowLog`]
 //! of the worst-latency requests, the typed, monotonically sequenced

@@ -13,15 +13,14 @@
 //! ## Collectors
 //!
 //! Subsystems that already keep their own state (a `QueryEngine`'s
-//! stats, a cache's counter snapshot) don't re-plumb every atomic:
+//! counters, a cache's counter snapshot) don't re-plumb every atomic:
 //! they register a *collector* — a closure run at dump time that
 //! appends `(name, value)` pairs from a fresh snapshot.
 //!
 //! ## Merge semantics
 //!
-//! Fleet aggregation follows `ServiceStats::aggregate`: counters and
-//! histogram buckets sum element-wise (exact — never average
-//! percentiles), while gauges take the **max** — a gauge is a level or
+//! Fleet aggregation: counters and histogram buckets sum element-wise
+//! (exact — never average percentiles), while gauges take the **max** — a gauge is a level or
 //! watermark (queue depth, convergence lag, peak memory), and the
 //! merged fleet view reports the worst member.
 
@@ -176,8 +175,7 @@ impl MetricsRegistry {
         for collect in self.collectors.lock().expect("collectors lock").iter() {
             collect(&mut entries);
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsDump { entries }
+        MetricsDump::from_entries(entries)
     }
 }
 
@@ -190,6 +188,14 @@ pub struct MetricsDump {
 }
 
 impl MetricsDump {
+    /// A dump over `entries` in any order (a collector's output, a
+    /// decoded wire frame): sorting here is what lets every lookup
+    /// binary-search.
+    pub fn from_entries(mut entries: Vec<(String, MetricValue)>) -> MetricsDump {
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        MetricsDump { entries }
+    }
+
     /// The value under `name`, if present.
     pub fn value(&self, name: &str) -> Option<&MetricValue> {
         self.entries
@@ -225,6 +231,27 @@ impl MetricsDump {
                 _ => None,
             })
             .sum()
+    }
+
+    /// Element-wise sum of every histogram whose name ends with
+    /// `suffix` (`shard0.latency_us`, `shard1.latency_us`, ...) — the
+    /// histogram analogue of [`MetricsDump::counter_sum`]. Empty when
+    /// none match.
+    pub fn histogram_sum(&self, suffix: &str) -> Vec<u64> {
+        let mut out: Vec<u64> = Vec::new();
+        for (name, value) in &self.entries {
+            if let MetricValue::Histogram(buckets) = value {
+                if name.ends_with(suffix) {
+                    if out.len() < buckets.len() {
+                        out.resize(buckets.len(), 0);
+                    }
+                    for (acc, &c) in out.iter_mut().zip(buckets) {
+                        *acc = acc.saturating_add(c);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// Merge `other` into `self` per the registry's merge semantics:
@@ -378,5 +405,23 @@ mod tests {
         };
         assert_eq!(d.counter_sum(".queries"), 15);
         assert_eq!(d.counter_sum(".errors"), 2);
+    }
+
+    #[test]
+    fn histogram_sum_merges_per_shard_buckets() {
+        let d = MetricsDump::from_entries(vec![
+            (
+                "shard1.latency_us".into(),
+                MetricValue::Histogram(vec![0, 1, 0, 4]),
+            ),
+            (
+                "shard0.latency_us".into(),
+                MetricValue::Histogram(vec![2, 3]),
+            ),
+            ("shard0.queries".into(), MetricValue::Counter(10)),
+        ]);
+        assert_eq!(d.entries[0].0, "shard0.latency_us", "entries are sorted");
+        assert_eq!(d.histogram_sum(".latency_us"), vec![2, 4, 0, 4]);
+        assert!(d.histogram_sum(".missing").is_empty());
     }
 }

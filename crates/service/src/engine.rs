@@ -27,14 +27,14 @@
 //! lock is taken.
 
 use crate::cache::ShardedCache;
-use crate::stats::{Metrics, MirrorMetrics, MirrorStats, ServiceStats};
+use crate::stats::{Metrics, MirrorMetrics, MirrorStats};
 use inano_atlas::{codec, Atlas, AtlasDelta};
 use inano_core::{
     chunk_span, content_tag, AtlasReader, AtlasSource, AtlasVersion, DeltaHandle, PathPredictor,
     PredictedPath, PredictorConfig, SearchStats,
 };
 use inano_model::{Ipv4, ModelError};
-use inano_obs::{EventJournal, EventKind};
+use inano_obs::{EventJournal, EventKind, MetricValue, MetricsDump};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -203,8 +203,6 @@ pub struct QueryEngine {
     /// takes the read lock just long enough to clone the sender.
     job_tx: RwLock<Option<mpsc::Sender<Job>>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Configured pool size (stable across shutdown, for stats).
-    n_workers: usize,
     /// Cached encoding of the current generation, keyed by its epoch
     /// (re-encoding a ~7MB atlas per mirror request would be the real
     /// cost of serving as a mirror; this makes it once per swap).
@@ -237,8 +235,7 @@ impl QueryEngine {
 
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let n_workers = cfg.workers.max(1);
-        let workers = (0..n_workers)
+        let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let rx = Arc::clone(&job_rx);
                 let current = Arc::clone(&current);
@@ -276,7 +273,6 @@ impl QueryEngine {
             retired_search: Mutex::new(SearchStats::default()),
             job_tx: RwLock::new(Some(job_tx)),
             workers: Mutex::new(workers),
-            n_workers,
             export: Mutex::new(None),
             delta_log: Mutex::new(VecDeque::new()),
             mirror: MirrorMetrics::default(),
@@ -610,36 +606,49 @@ impl QueryEngine {
         total
     }
 
-    /// Snapshot the engine's counters.
-    pub fn stats(&self) -> ServiceStats {
+    /// Append this engine's series to `out`, each name under `label`
+    /// (`shardN` on a server): query, cache and search-cache counters,
+    /// the serving generation's epoch and day, the latency histogram,
+    /// and the mirror-follow series. A server registers this as a
+    /// dump-time collector; in-process callers read the same names
+    /// through [`QueryEngine::metrics_dump`].
+    pub fn collect_metrics(&self, label: &str, out: &mut Vec<(String, MetricValue)>) {
         let (hits, misses, evictions, _inserts) = self.cache.counter_snapshot();
         let generation = self.generation();
-        let queries = self.metrics.queries.load(Ordering::Relaxed);
-        let probed = hits + misses;
-        // One histogram snapshot serves both the shipped buckets and
-        // the percentiles, so they can never disagree about queries
-        // recorded mid-call.
-        let latency_buckets = self.metrics.latency.snapshot();
-        ServiceStats {
-            queries,
-            errors: self.metrics.errors.load(Ordering::Relaxed),
-            qps: queries as f64 / self.metrics.elapsed_secs().max(1e-9),
-            p50_us: crate::stats::quantile_from_counts(&latency_buckets, 0.50),
-            p99_us: crate::stats::quantile_from_counts(&latency_buckets, 0.99),
-            cache_hits: hits,
-            cache_misses: misses,
-            cache_evictions: evictions,
-            cache_hit_rate: if probed == 0 {
-                0.0
-            } else {
-                hits as f64 / probed as f64
-            },
-            swaps: self.metrics.swaps.load(Ordering::Relaxed),
-            epoch: generation.epoch,
-            day: generation.day(),
-            workers: self.n_workers,
-            latency_buckets,
+        let search = self.search_stats();
+        let mirror = self.mirror.snapshot();
+        let m = &self.metrics;
+        let (counter, gauge) = (MetricValue::Counter, MetricValue::Gauge);
+        for (name, value) in [
+            ("queries", counter(m.queries.load(Ordering::Relaxed))),
+            ("errors", counter(m.errors.load(Ordering::Relaxed))),
+            ("swaps", counter(m.swaps.load(Ordering::Relaxed))),
+            ("cache.hits", counter(hits)),
+            ("cache.misses", counter(misses)),
+            ("cache.evictions", counter(evictions)),
+            ("search.count", counter(search.searches)),
+            ("search.hits", counter(search.hits)),
+            ("search.evictions", counter(search.evictions)),
+            ("search.bytes", gauge(search.bytes)),
+            ("epoch", gauge(generation.epoch)),
+            ("day", gauge(generation.day() as u64)),
+            ("latency_us", MetricValue::Histogram(m.latency.snapshot())),
+            ("mirror.deltas_applied", counter(mirror.deltas_applied)),
+            ("mirror.full_resyncs", counter(mirror.full_resyncs)),
+            ("mirror.races_recovered", counter(mirror.races_recovered)),
+            ("mirror.lag_days", gauge(mirror.lag_days as u64)),
+            ("mirror.upstream_day", gauge(mirror.upstream_day as u64)),
+        ] {
+            out.push((format!("{label}.{name}"), value));
         }
+    }
+
+    /// This engine's [`QueryEngine::collect_metrics`] series under
+    /// `label`, as a dump.
+    pub fn metrics_dump(&self, label: &str) -> MetricsDump {
+        let mut entries = Vec::new();
+        self.collect_metrics(label, &mut entries);
+        MetricsDump::from_entries(entries)
     }
 
     /// The live mirror-follow registers (for callers, like the serve

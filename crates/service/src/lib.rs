@@ -24,14 +24,16 @@
 //! [`ShardRegistry`] composes engines into multi-atlas serving: a
 //! [`ShardId`]-keyed set of fully independent engines (own cache,
 //! epoch, worker pool, sized from one shared budget) behind a single
-//! lookup, with per-shard delta application and exact aggregated
-//! stats — the unit `inano-net` serves behind one listener.
+//! lookup, with per-shard delta application — the unit `inano-net`
+//! serves behind one listener.
 //!
-//! [`ServiceStats`] snapshots QPS, p50/p99 service latency (plus the
-//! raw log₂ latency buckets, so aggregators merge histograms instead
-//! of averaging percentiles) and cache hit rate; `inano-bench`'s
-//! `svc_throughput` binary drives all of this under a zipf query mix
-//! and emits the numbers as a BENCH JSON line.
+//! Engines publish their counters one way:
+//! [`QueryEngine::collect_metrics`] appends `shardN.*` entries
+//! (queries, errors, cache and search-cache counters, epoch/day
+//! gauges, the raw log₂ latency histogram, mirror-follow series) to an
+//! [`inano_obs::MetricsDump`], which merges exactly across shards and
+//! servers; `inano-bench`'s `svc_throughput` binary drives all of this
+//! under a zipf query mix and emits the numbers as a BENCH JSON line.
 //!
 //! See DESIGN.md ("The service layer") for the full architecture
 //! discussion: threading model, cache-key soundness argument, and the
@@ -44,7 +46,5 @@ pub mod stats;
 
 pub use cache::{CacheCounters, CacheKey, ShardedCache};
 pub use engine::{AtlasSnapshot, DeltaBlob, Generation, QueryEngine, ServiceConfig, DELTA_LOG_CAP};
-pub use registry::{RegistryConfig, RegistryStats, ShardId, ShardRegistry, ShardSpec};
-pub use stats::{
-    quantile_from_counts, LatencyHistogram, Metrics, MirrorMetrics, MirrorStats, ServiceStats,
-};
+pub use registry::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
+pub use stats::{Metrics, MirrorMetrics, MirrorStats};

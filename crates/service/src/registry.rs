@@ -19,19 +19,19 @@
 //! Each shard gets an equal split, floored at one worker and a small
 //! cache so a crowded registry degrades instead of panicking.
 //!
-//! ## Stats
+//! ## Metrics
 //!
-//! [`ShardRegistry::stats`] snapshots every shard and the exact
-//! aggregate: counters sum, and the merged latency percentiles are
-//! recomputed from the element-wise sum of the per-shard log₂ bucket
-//! vectors ([`ServiceStats::aggregate`]) — merging histograms, not
+//! [`ShardRegistry::collect_metrics`] appends every shard's series
+//! under its `shardN` label; a registry-wide figure is a
+//! [`inano_obs::MetricsDump`] sum (`counter_sum(".queries")`,
+//! `histogram_sum(".latency_us")`) — merging histograms, not
 //! averaging percentiles.
 
 use crate::engine::{QueryEngine, ServiceConfig};
-use crate::stats::ServiceStats;
 use inano_atlas::{Atlas, AtlasDelta};
 use inano_core::{AtlasSource, PredictorConfig};
 use inano_model::ModelError;
+use inano_obs::MetricValue;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -107,16 +107,6 @@ impl RegistryConfig {
             predictor,
         }
     }
-}
-
-/// Every shard's stats plus the registry-wide aggregate.
-#[derive(Clone, Debug)]
-pub struct RegistryStats {
-    /// Per-shard snapshots, in shard-id order.
-    pub shards: Vec<(ShardId, ServiceStats)>,
-    /// The exact merge of the per-shard snapshots
-    /// (see [`ServiceStats::aggregate`]).
-    pub aggregate: ServiceStats,
 }
 
 /// At least one shard, and no more than the wire protocol's
@@ -267,12 +257,13 @@ impl ShardRegistry {
         Ok(self.engine(shard)?.delta_blob(have_day))
     }
 
-    /// Snapshot every shard plus the exact aggregate.
-    pub fn stats(&self) -> RegistryStats {
-        let shards: Vec<(ShardId, ServiceStats)> =
-            self.shards.iter().map(|(&id, e)| (id, e.stats())).collect();
-        let aggregate = ServiceStats::aggregate(shards.iter().map(|(_, s)| s));
-        RegistryStats { shards, aggregate }
+    /// Append every shard's [`QueryEngine::collect_metrics`] series,
+    /// each under its `shardN` label — what a server registers as its
+    /// dump-time shard collector.
+    pub fn collect_metrics(&self, out: &mut Vec<(String, MetricValue)>) {
+        for (id, engine) in self.iter() {
+            engine.collect_metrics(&id.to_string(), out);
+        }
     }
 
     /// Drain and stop every shard's worker pool, in parallel (each
@@ -286,5 +277,30 @@ impl ShardRegistry {
                 scope.spawn(move || engine.shutdown());
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_config_splits_the_budget_with_floors() {
+        let cfg = RegistryConfig {
+            total_workers: 7,
+            total_cache_capacity: 3000,
+            cache_shards: 4,
+            chunk: 16,
+        };
+        // 7 workers over 3 shards: each gets floor(7/3) = 2.
+        let three = cfg.shard_config(3, PredictorConfig::full());
+        assert_eq!(
+            (three.workers, three.cache_capacity),
+            (2, 1000),
+            "worker split"
+        );
+        // A crowded registry floors at one worker and a small cache.
+        let crowded = cfg.shard_config(100, PredictorConfig::full());
+        assert_eq!((crowded.workers, crowded.cache_capacity), (1, 64));
     }
 }

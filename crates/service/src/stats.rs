@@ -1,37 +1,19 @@
-//! Service metrics: lock-free counters plus a log₂-bucketed latency
-//! histogram, snapshotted into a [`ServiceStats`] value.
-//!
-//! The histogram itself ([`LatencyHistogram`], [`BUCKETS`],
-//! [`quantile_from_counts`]) lives in `inano-obs` since protocol v4 so
-//! the unified metrics registry can treat it as a first-class metric
-//! kind; the re-exports here keep every pre-v4 caller compiling
-//! unchanged.
+//! Service metrics: the engine's lock-free counters plus a log₂
+//! latency histogram ([`inano_obs::LatencyHistogram`]), and the
+//! mirror-follow registers. Readers never see these structs directly:
+//! [`crate::QueryEngine::collect_metrics`] publishes them as `shardN.*`
+//! entries of an [`inano_obs::MetricsDump`].
 
-pub use inano_obs::{quantile_from_counts, LatencyHistogram, BUCKETS};
-
+use inano_obs::LatencyHistogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// The engine's live metric registers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     pub queries: AtomicU64,
     pub errors: AtomicU64,
     pub swaps: AtomicU64,
     pub latency: LatencyHistogram,
-    started: Instant,
-}
-
-impl Default for Metrics {
-    fn default() -> Metrics {
-        Metrics {
-            queries: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            latency: LatencyHistogram::default(),
-            started: Instant::now(),
-        }
-    }
 }
 
 impl Metrics {
@@ -41,10 +23,6 @@ impl Metrics {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
         self.latency.record_us(us);
-    }
-
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
     }
 }
 
@@ -91,120 +69,9 @@ impl MirrorMetrics {
     }
 }
 
-/// A point-in-time view of the engine, cheap to take while serving.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServiceStats {
-    /// Total queries answered (including errors).
-    pub queries: u64,
-    /// Queries that returned an error (unroutable address, no path...).
-    pub errors: u64,
-    /// Queries per second since the engine started.
-    pub qps: f64,
-    /// Median per-query service latency, microseconds (bucket resolution).
-    pub p50_us: u64,
-    /// 99th-percentile per-query service latency, microseconds.
-    pub p99_us: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    /// hits / (hits + misses), 0 when idle.
-    pub cache_hit_rate: f64,
-    /// Atlas generations applied since start (delta swaps).
-    pub swaps: u64,
-    /// Current configuration epoch (bumped by every swap).
-    pub epoch: u64,
-    /// Day of the currently-served atlas.
-    pub day: u32,
-    /// Worker threads serving batches.
-    pub workers: usize,
-    /// Raw log₂ latency-bucket counts (bucket `i` covers
-    /// `[2^i, 2^(i+1))` µs). Shipping the buckets, not just p50/p99,
-    /// is what lets an aggregator merge stats from many engines
-    /// exactly — see [`ServiceStats::aggregate`].
-    pub latency_buckets: Vec<u64>,
-}
-
-impl ServiceStats {
-    /// Merge snapshots from several engines (the shards of a registry,
-    /// the members of a fleet) into one: counters sum, latency
-    /// percentiles are recomputed from the element-wise sum of the
-    /// bucket vectors (exact, where averaging per-engine percentiles
-    /// would not be), and `epoch`/`day` take the per-shard maximum —
-    /// they are per-atlas properties with no cross-shard meaning, so
-    /// the aggregate reports the freshest.
-    pub fn aggregate<'a>(parts: impl IntoIterator<Item = &'a ServiceStats>) -> ServiceStats {
-        let mut out = ServiceStats {
-            latency_buckets: vec![0; BUCKETS],
-            ..ServiceStats::default()
-        };
-        let mut qps = 0.0;
-        for s in parts {
-            out.queries += s.queries;
-            out.errors += s.errors;
-            qps += s.qps;
-            out.cache_hits += s.cache_hits;
-            out.cache_misses += s.cache_misses;
-            out.cache_evictions += s.cache_evictions;
-            out.swaps += s.swaps;
-            out.epoch = out.epoch.max(s.epoch);
-            out.day = out.day.max(s.day);
-            out.workers += s.workers;
-            if out.latency_buckets.len() < s.latency_buckets.len() {
-                out.latency_buckets.resize(s.latency_buckets.len(), 0);
-            }
-            for (acc, &c) in out.latency_buckets.iter_mut().zip(&s.latency_buckets) {
-                *acc += c;
-            }
-        }
-        out.qps = qps;
-        out.p50_us = quantile_from_counts(&out.latency_buckets, 0.50);
-        out.p99_us = quantile_from_counts(&out.latency_buckets, 0.99);
-        let probed = out.cache_hits + out.cache_misses;
-        out.cache_hit_rate = if probed == 0 {
-            0.0
-        } else {
-            out.cache_hits as f64 / probed as f64
-        };
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn aggregate_merges_buckets_not_percentiles() {
-        let fast = Metrics::default();
-        let slow = Metrics::default();
-        for _ in 0..90 {
-            fast.record_query(10, true);
-        }
-        for _ in 0..10 {
-            slow.record_query(5000, false);
-        }
-        let a = ServiceStats {
-            queries: 90,
-            p50_us: fast.latency.quantile_us(0.5),
-            latency_buckets: fast.latency.snapshot(),
-            ..ServiceStats::default()
-        };
-        let b = ServiceStats {
-            queries: 10,
-            errors: 10,
-            p50_us: slow.latency.quantile_us(0.5),
-            latency_buckets: slow.latency.snapshot(),
-            ..ServiceStats::default()
-        };
-        let merged = ServiceStats::aggregate([&a, &b]);
-        assert_eq!(merged.queries, 100);
-        assert_eq!(merged.errors, 10);
-        // The true p99 over the merged population is the slow bucket;
-        // averaging the two per-part p99s could never say so.
-        assert!((4096..=8192).contains(&merged.p99_us), "{}", merged.p99_us);
-        assert!((8..=16).contains(&merged.p50_us), "{}", merged.p50_us);
-        assert_eq!(merged.latency_buckets.iter().sum::<u64>(), 100);
-    }
 
     #[test]
     fn metrics_record() {

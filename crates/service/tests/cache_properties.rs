@@ -109,7 +109,7 @@ proptest! {
                 }
             }
         }
-        let stats = engine.stats();
-        prop_assert!(stats.cache_hits > 0, "repeat queries must hit the cache");
+        let dump = engine.metrics_dump("shard0");
+        prop_assert!(dump.counter("shard0.cache.hits") > 0, "repeat queries must hit the cache");
     }
 }

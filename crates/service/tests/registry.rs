@@ -1,12 +1,20 @@
 //! Integration tests for the shard registry: budget split, typed
 //! unknown-shard errors, per-shard delta isolation (epoch *and*
-//! cache), exact stats aggregation, and registry-wide shutdown.
+//! cache), exact metrics aggregation, and registry-wide shutdown.
 
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::PredictorConfig;
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, ModelError, Prefix, PrefixId};
+use inano_obs::MetricsDump;
 use inano_service::{RegistryConfig, ShardId, ShardRegistry, ShardSpec};
 use std::sync::Arc;
+
+/// Every shard's series, the way a server's collector publishes them.
+fn dump(registry: &ShardRegistry) -> MetricsDump {
+    let mut entries = Vec::new();
+    registry.collect_metrics(&mut entries);
+    MetricsDump::from_entries(entries)
+}
 
 /// A bidirectional ring of `n` clusters, one AS and one /16 prefix per
 /// cluster. Every pair is routable.
@@ -112,9 +120,7 @@ fn build_splits_the_budget_and_serves_every_shard() {
         registry.shard_ids(),
         vec![ShardId(0), ShardId(1), ShardId(2)]
     );
-    for (k, (id, engine)) in registry.iter().enumerate() {
-        // 7 workers over 3 shards: each gets floor(7/3) = 2.
-        assert_eq!(engine.stats().workers, 2, "{id} worker split");
+    for (k, (_, engine)) in registry.iter().enumerate() {
         // Each shard serves its own world: the 0 -> n/2 path length
         // tracks that shard's ring size.
         let n = 8 + k as u32 * 4;
@@ -182,8 +188,15 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
         let engine = registry.engine(shard).unwrap();
         engine.query(ip(0), ip(far)).expect("routable");
         engine.query(ip(0), ip(far)).expect("routable");
-        let s = engine.stats();
-        assert_eq!((s.cache_misses, s.cache_hits), (1, 1), "{shard} warmup");
+        let s = dump(&registry);
+        assert_eq!(
+            (
+                s.counter(&format!("{shard}.cache.misses")),
+                s.counter(&format!("{shard}.cache.hits"))
+            ),
+            (1, 1),
+            "{shard} warmup"
+        );
     }
 
     let day = registry
@@ -197,7 +210,11 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
     let ea = registry.engine(a).unwrap();
     let path_a = ea.query(ip(0), ip(far)).expect("routable");
     assert_eq!(path_a.fwd_clusters.len(), 2, "shard 0 serves the shortcut");
-    assert_eq!(ea.stats().cache_misses, 2, "old-epoch entry is dead");
+    assert_eq!(
+        dump(&registry).counter("shard0.cache.misses"),
+        2,
+        "old-epoch entry is dead"
+    );
 
     // Shard B did not move: same epoch, same route, and the warm
     // cache entry still hits — nothing was evicted.
@@ -209,11 +226,15 @@ fn delta_on_one_shard_never_bumps_the_other_or_evicts_its_cache() {
         far as usize + 1,
         "shard 1 still serves the long way around"
     );
-    let sb = eb.stats();
-    assert_eq!(sb.cache_hits, 2, "shard 1's cache survived shard 0's swap");
-    assert_eq!(sb.cache_misses, 1);
-    assert_eq!(sb.cache_evictions, 0);
-    assert_eq!(sb.swaps, 0);
+    let sb = dump(&registry);
+    assert_eq!(
+        sb.counter("shard1.cache.hits"),
+        2,
+        "shard 1's cache survived shard 0's swap"
+    );
+    assert_eq!(sb.counter("shard1.cache.misses"), 1);
+    assert_eq!(sb.counter("shard1.cache.evictions"), 0);
+    assert_eq!(sb.counter("shard1.swaps"), 0);
     registry.shutdown();
 }
 
@@ -232,15 +253,22 @@ fn stats_aggregate_sums_counters_and_merges_histograms() {
         .apply_delta(ShardId(1), &shortcut_delta(8, 0))
         .expect("delta applies");
 
-    let stats = registry.stats();
-    assert_eq!(stats.shards.len(), 2);
-    assert_eq!(stats.shards[0].0, ShardId(0));
-    assert_eq!(stats.aggregate.queries, 8);
-    assert_eq!(stats.aggregate.swaps, 1);
-    assert_eq!(stats.aggregate.epoch, 1, "aggregate epoch is the max");
-    assert_eq!(stats.aggregate.workers, 4, "worker budget sums back up");
+    let m = dump(&registry);
     assert_eq!(
-        stats.aggregate.latency_buckets.iter().sum::<u64>(),
+        m.counter("shard0.queries"),
+        5,
+        "every shard under its label"
+    );
+    assert_eq!(m.counter("shard1.queries"), 3);
+    assert_eq!(m.counter_sum(".queries"), 8);
+    assert_eq!(m.counter_sum(".swaps"), 1);
+    assert_eq!(
+        (m.gauge("shard0.epoch"), m.gauge("shard1.epoch")),
+        (0, 1),
+        "epochs stay per shard"
+    );
+    assert_eq!(
+        m.histogram_sum(".latency_us").iter().sum::<u64>(),
         8,
         "merged histogram holds every query"
     );

@@ -5,6 +5,7 @@
 use inano_atlas::{Atlas, AtlasDelta, LinkAnnotation, Plane};
 use inano_core::{PathPredictor, PredictedPath, PredictorConfig};
 use inano_model::{Asn, ClusterId, Ipv4, LatencyMs, Prefix, PrefixId};
+use inano_obs::MetricsDump;
 use inano_service::{QueryEngine, ServiceConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,6 +67,22 @@ fn engine_over(atlas: Atlas, workers: usize) -> QueryEngine {
     QueryEngine::new(Arc::new(atlas), cfg)
 }
 
+/// The engine's series, under the label a server would give shard 0.
+fn dump(engine: &QueryEngine) -> MetricsDump {
+    engine.metrics_dump("shard0")
+}
+
+/// Result-cache hits over probes, 0 when idle.
+fn cache_hit_rate(d: &MetricsDump) -> f64 {
+    let hits = d.counter("shard0.cache.hits");
+    let probed = hits + d.counter("shard0.cache.misses");
+    if probed == 0 {
+        0.0
+    } else {
+        hits as f64 / probed as f64
+    }
+}
+
 fn assert_same_path(a: &PredictedPath, b: &PredictedPath) {
     assert_eq!(a.fwd_clusters, b.fwd_clusters);
     assert_eq!(a.rev_clusters, b.rev_clusters);
@@ -88,10 +105,9 @@ fn batches_fan_across_workers_in_order() {
         let inline = engine.query(s, d).expect("ring is fully routable");
         assert_same_path(batched[i].as_ref().expect("batch result ok"), &inline);
     }
-    let stats = engine.stats();
-    assert_eq!(stats.workers, 4);
-    assert_eq!(stats.errors, 0);
-    assert!(stats.queries >= pairs.len() as u64 * 2);
+    let stats = dump(&engine);
+    assert_eq!(stats.counter("shard0.errors"), 0);
+    assert!(stats.counter("shard0.queries") >= pairs.len() as u64 * 2);
 }
 
 #[test]
@@ -112,9 +128,12 @@ fn cache_hit_equals_fresh_predictor_query() {
             assert_same_path(&warm, &reference);
         }
     }
-    let stats = engine.stats();
-    assert!(stats.cache_hits > 0, "second pass must hit: {stats:?}");
-    assert!(stats.cache_hit_rate > 0.0);
+    let stats = dump(&engine);
+    assert!(
+        stats.counter("shard0.cache.hits") > 0,
+        "second pass must hit: {stats:?}"
+    );
+    assert!(cache_hit_rate(&stats) > 0.0);
 }
 
 #[test]
@@ -146,9 +165,9 @@ fn zipf_mix_sees_positive_hit_rate() {
     for r in engine.query_batch(&pairs) {
         r.expect("ring is fully routable");
     }
-    let stats = engine.stats();
+    let stats = dump(&engine);
     assert!(
-        stats.cache_hit_rate > 0.5,
+        cache_hit_rate(&stats) > 0.5,
         "zipf mix over {} cluster pairs must mostly hit: {stats:?}",
         n * (n - 1)
     );
@@ -216,11 +235,11 @@ fn hammering_queries_while_applying_deltas_never_errors() {
 
     assert_eq!(failures, 0, "no query may error across the swap");
     assert!(issued.load(Ordering::Relaxed) > 0);
-    let stats = engine.stats();
-    assert_eq!(stats.errors, 0);
-    assert_eq!(stats.swaps, 1);
-    assert_eq!(stats.epoch, 1);
-    assert_eq!(stats.day, 1);
+    let stats = dump(&engine);
+    assert_eq!(stats.counter("shard0.errors"), 0);
+    assert_eq!(stats.counter("shard0.swaps"), 1);
+    assert_eq!(stats.gauge("shard0.epoch"), 1);
+    assert_eq!(stats.gauge("shard0.day"), 1);
 
     // Post-swap queries must reflect the new day, not a stale cache
     // entry: the shortcut is now the route.
@@ -275,9 +294,7 @@ fn shutdown_under_load_loses_no_accepted_queries() {
         .expect("inline serving still works");
     let batch = engine.query_batch(&pairs);
     assert!(batch.iter().all(|r| r.is_ok()));
-    let stats = engine.stats();
-    assert_eq!(stats.errors, 0);
-    assert_eq!(stats.workers, 4, "stats report the configured pool size");
+    assert_eq!(dump(&engine).counter("shard0.errors"), 0);
 }
 
 #[test]
@@ -344,7 +361,7 @@ fn replace_atlas_swaps_a_whole_generation_without_logging_a_delta() {
     assert_eq!(day, 9);
     assert_eq!(engine.day(), 9);
     assert_eq!(engine.epoch(), 2, "a replace bumps the epoch like a swap");
-    assert_eq!(engine.stats().swaps, 2);
+    assert_eq!(dump(&engine).counter("shard0.swaps"), 2);
     // The export snapshot re-encodes the new generation...
     let snap = engine.export();
     assert_eq!(snap.day, 9);

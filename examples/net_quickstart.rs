@@ -103,10 +103,14 @@ fn main() {
         after.fwd_clusters.len()
     );
 
-    let stats = client.stats().expect("stats");
+    // Every engine and server counter travels in one metrics dump.
+    let stats = client.metrics().expect("metrics");
+    let hits = stats.counter("shard0.cache.hits");
+    let probed = hits + stats.counter("shard0.cache.misses");
     println!(
         "shard 0 served {} queries, cache hit rate {:.2}",
-        stats.queries, stats.cache_hit_rate
+        stats.counter("shard0.queries"),
+        hits as f64 / probed.max(1) as f64
     );
 
     // Any server is also an atlas *mirror*: fetch shard 1's atlas over

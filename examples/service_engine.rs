@@ -9,10 +9,11 @@ use inano::demo::DemoWorld;
 use inano::model::Ipv4;
 use inano::service::{QueryEngine, ServiceConfig};
 use inano::swarm::{SwarmConfig, SwarmSource};
+use inano_obs::quantile_from_counts;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() {
     println!("building a demo world and two days of measurements...");
@@ -27,13 +28,12 @@ fn main() {
         },
     );
 
-    let engine = Arc::new(
-        QueryEngine::bootstrap(&mut source, ServiceConfig::default()).expect("bootstrap via swarm"),
-    );
+    let cfg = ServiceConfig::default();
+    let workers = cfg.workers;
+    let engine = Arc::new(QueryEngine::bootstrap(&mut source, cfg).expect("bootstrap via swarm"));
     println!(
-        "engine up at day {} with {} workers (swarm median download {:.0}s)",
+        "engine up at day {} with {workers} workers (swarm median download {:.0}s)",
         engine.day(),
-        engine.stats().workers,
         source.last_fetch_secs().unwrap_or(f64::NAN)
     );
 
@@ -46,6 +46,7 @@ fn main() {
         .collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Instant::now();
     let clients: Vec<_> = (0..4)
         .map(|_| {
             let engine = Arc::clone(&engine);
@@ -74,18 +75,24 @@ fn main() {
     thread::sleep(Duration::from_millis(150));
     stop.store(true, Ordering::Relaxed);
     let answered: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+    let elapsed = started.elapsed().as_secs_f64();
 
-    let stats = engine.stats();
+    // The engine's counters, under the names a server publishes them.
+    let stats = engine.metrics_dump("shard0");
+    let queries = stats.counter("shard0.queries");
     println!(
-        "\n{answered} routable answers; engine saw {} queries at {:.0} qps",
-        stats.queries, stats.qps
+        "\n{answered} routable answers; engine saw {queries} queries at {:.0} qps",
+        queries as f64 / elapsed
     );
+    let latency = stats.histogram_sum("shard0.latency_us");
+    let hits = stats.counter("shard0.cache.hits");
+    let probed = hits + stats.counter("shard0.cache.misses");
     println!(
         "latency p50 {}us p99 {}us; cache hit rate {:.1}% ({} evictions); epoch {}",
-        stats.p50_us,
-        stats.p99_us,
-        stats.cache_hit_rate * 100.0,
-        stats.cache_evictions,
-        stats.epoch
+        quantile_from_counts(&latency, 0.50),
+        quantile_from_counts(&latency, 0.99),
+        hits as f64 / probed.max(1) as f64 * 100.0,
+        stats.counter("shard0.cache.evictions"),
+        stats.gauge("shard0.epoch")
     );
 }
